@@ -2,8 +2,9 @@
 INI configuration with flag overrides, CSV/JSON artifacts, and run
 manifests that make every invocation reproducible.
 
-Layering for every parameter: command-line flag > config-file entry >
-built-in default.  The output directory additionally honors the QPT_OUT
+Each subcommand's parameters are declared once, in COMMANDS.  Layering
+for every parameter: command-line flag > config-file entry > built-in
+default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
 library versions, seed, and timings; `qpt --from-manifest m.json`
@@ -20,6 +21,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -29,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -60,9 +63,7 @@ class UsageError(Exception):
 def to_jsonable(obj):
     """Recursively convert dataclasses, numpy types, Fractions, and
     containers into plain JSON-serializable values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -184,13 +185,13 @@ def rational_alpha(spec: dict) -> Fraction:
 
 
 def build_sampling(cfg: dict):
-    kind = cfg.get("sampling", "amo")
+    kind = cfg["sampling"]
     if kind == "amo":
-        return AmoSampling(cfg.get("lam", 1.0))
+        return AmoSampling(cfg["lam"])
     if kind == "zero":
         return ZeroSampling()
     if kind == "table":
-        values = cfg.get("potential")
+        values = cfg["potential"]
         if not values:
             raise UsageError("table sampling needs --potential v1,v2,...")
         return TableSampling(values)
@@ -201,8 +202,6 @@ def parse_axis(text: str, name: str, integer: bool = False):
     """Grid axis: 'a,b,c' list, 'lin:lo:hi:n' linspace, 'grid:n' n points
     equispaced on [0, 1)."""
     text = text.strip()
-    if not text:
-        raise UsageError(f"axis {name} is empty")
     if text.startswith("grid:"):
         try:
             n = int(text[5:])
@@ -235,79 +234,6 @@ def parse_axis(text: str, name: str, integer: bool = False):
     if not out:
         raise UsageError(f"axis {name} is empty")
     return out
-
-
-# ---------------------------------------------------------------------------
-# configuration resolution
-
-def _load_ini(path: str | None) -> configparser.ConfigParser | None:
-    if path is None:
-        return None
-    ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
-        raise UsageError(f"config file {path!r} not found or unreadable")
-    return ini
-
-
-class ParamSet:
-    """Merges CLI args over an INI section, recording resolved values."""
-
-    def __init__(self, args, ini, section: str):
-        self.args = args
-        self.ini = ini
-        self.section = section
-        self.resolved: dict = {}
-
-    def _ini_get(self, name: str, run_section: bool = False):
-        if self.ini is None:
-            return None
-        section = "run" if run_section else self.section
-        for key in (name, name.replace("_", "-")):
-            if self.ini.has_option(section, key):
-                return self.ini.get(section, key)
-        return None
-
-    def get(self, name: str, default=None, cast=None, run_section: bool = False):
-        cli_val = getattr(self.args, name.replace("-", "_"), None)
-        if cli_val is not None:
-            value = cli_val
-        else:
-            raw = self._ini_get(name, run_section)
-            if raw is None:
-                value = default
-            elif cast is bool:
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif cast is not None:
-                try:
-                    value = cast(raw)
-                except (ValueError, TypeError):
-                    raise UsageError(
-                        f"config [{self.section}] {name} = {raw!r}: "
-                        f"cannot convert") from None
-            else:
-                value = raw
-        self.resolved[name] = value
-        return value
-
-
-def _resolve_out(args, ini) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return env
-    if ini is not None and ini.has_option("run", "out"):
-        return ini.get("run", "out")
-    return DEFAULT_OUT
-
-
-def _csv_floats(text: str):
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _csv_ints(text: str):
-    return [int(p) for p in text.split(",") if p.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +357,26 @@ def _rows_to_csv(path: Path, rows) -> None:
 
 
 def _run_verify(cfg: dict, out: Path):
-    suites = ("floquet", "transport") if cfg["suite"] == "all" \
-        else (cfg["suite"],)
-    checks = cfg["checks"]
+    # pick each suite's checks before running any; under "all" a suite
+    # none of whose checks was selected is skipped
+    plan = []
+    for name, known in (("floquet", FLOQUET_CHECKS),
+                        ("transport", TRANSPORT_CHECKS)):
+        if cfg["suite"] in (name, "all"):
+            chosen = tuple(c for c in (cfg["checks"] or known) if c in known)
+            if chosen:
+                plan.append((name, chosen))
+            elif cfg["suite"] == name:
+                raise UsageError(f"no {name} checks selected")
     artifacts, summaries, results = [], [], {}
     total_violations = 0
-    for name in suites:
+    for name, chosen in plan:
         if name == "floquet":
-            chosen = tuple(c for c in (checks or FLOQUET_CHECKS)
-                           if c in FLOQUET_CHECKS)
-            if not chosen:
-                raise UsageError("no floquet checks selected")
             rep = floquet_identity_suite(
                 count=cfg["trials"], q_max=cfg["q_max"], seed=cfg["seed"],
                 checks=chosen, samples_per_model=cfg["samples_per_model"],
                 corrupt_corner=cfg["corrupt"])
         else:
-            chosen = tuple(c for c in (checks or TRANSPORT_CHECKS)
-                           if c in TRANSPORT_CHECKS)
-            if not chosen:
-                raise UsageError("no transport checks selected")
             rep = transport_consistency_suite(
                 time_scales=tuple(cfg["time_scales"]), checks=chosen,
                 max_site=cfg["max_site"])
@@ -464,11 +390,6 @@ def _run_verify(cfg: dict, out: Path):
         total_violations += rep.violations
         summaries.append(f"{name}: {rep.violations} violations "
                          f"/ {rep.instances} instances")
-    if checks is not None:
-        known = set(FLOQUET_CHECKS) | set(TRANSPORT_CHECKS)
-        bad = [c for c in checks if c not in known]
-        if bad:
-            raise UsageError(f"unknown checks {bad}")
     write_json(out / "verify.json", results)
     artifacts.append("verify.json")
     code = 0 if total_violations == 0 else 1
@@ -477,13 +398,13 @@ def _run_verify(cfg: dict, out: Path):
 
 def _run_theorem_demo(cfg: dict, out: Path):
     f = build_sampling(cfg)
+    p_list = tuple(cfg["p_list"])
     rep = theorem_demo(f, cfg["delta"], depth_budget=cfg["depth_budget"],
-                       p_list=tuple(cfg["p_list"]),
+                       p_list=p_list,
                        theta_grid=cfg["theta_grid"],
                        beta_target=cfg["beta_target"],
                        max_radius=cfg["max_radius"])
     write_json(out / "theorem_demo.json", rep)
-    p_list = tuple(cfg["p_list"])
     header = ["k", "q", "time_scale", "feasible", "note"]
     for p in p_list:
         header += [f"min_p{p:g}", f"ratio_plain_p{p:g}", f"ratio_log_p{p:g}"]
@@ -509,7 +430,12 @@ def _run_theorem_demo(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # sweep
 
-SWEEP_AXES = ("lam", "theta", "energy", "time", "depth")
+#: sweep axis -> the flag (and INI key) that gives its grid
+SWEEP_AXES = {"lam": "lambdas", "theta": "thetas", "energy": "energies",
+              "time": "times", "depth": "depths"}
+#: the axes each point command reads
+POINT_AXES = {"moments": ("lam", "theta", "time", "depth"),
+              "lyapunov": ("lam", "energy", "depth")}
 
 
 def _sweep_eval(task: dict) -> dict:
@@ -517,10 +443,7 @@ def _sweep_eval(task: dict) -> dict:
     try:
         cfg = task["cfg"]
         point = task["point"]
-        base = dict(cfg)
-        if "lam" in point:
-            base["lam"] = point["lam"]
-        f = build_sampling(base)
+        f = build_sampling({**cfg, **point})
         freq_spec = dict(cfg["freq"])
         if "depth" in point:
             if freq_spec["kind"] == "liouville":
@@ -532,7 +455,7 @@ def _sweep_eval(task: dict) -> dict:
                              "den": conv.denominator}
         alpha = chain_alpha(freq_spec)
         theta = point.get("theta", cfg["theta"])
-        if task["command"] == "moments":
+        if cfg["command"] == "moments":
             t = point.get("time", cfg["time_scale"])
             mom = moments(Chain(f, alpha, theta), t, orders=cfg["orders"],
                           radius=cfg["radius"])
@@ -545,22 +468,28 @@ def _sweep_eval(task: dict) -> dict:
                                     seed=cfg["seed"])
             values = {"gamma_hat": est.gamma_hat, "stderr": est.stderr}
         return {"index": task["index"], "ok": True, "values": values}
-    except (QptError, UsageError, FloatingPointError) as exc:
+    except (QptError, UsageError, FloatingPointError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         return {"index": task["index"], "ok": False,
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _run_sweep(cfg: dict, out: Path):
+    readable = POINT_AXES[cfg["command"]]
+    flags = "/".join(f"--{SWEEP_AXES[a]}" for a in readable)
+    ignored = [f"--{SWEEP_AXES[a]}" for a in cfg["axes"] if a not in readable]
+    if ignored:
+        raise UsageError(f"sweep --command {cfg['command']} reads only "
+                         f"{flags}, not {'/'.join(ignored)}")
     axes = [(name, cfg["axes"][name]) for name in SWEEP_AXES
             if name in cfg["axes"]]
     if not axes:
-        raise UsageError("sweep needs at least one grid axis "
-                         "(--lambdas/--thetas/--energies/--times/--depths)")
+        raise UsageError(f"sweep needs at least one grid axis ({flags})")
     axis_names = [name for name, _ in axes]
     points = [dict(zip(axis_names, combo))
               for combo in itertools.product(*(vals for _, vals in axes))]
-    tasks = [{"index": i, "command": cfg["command"], "cfg": cfg,
-              "point": pt} for i, pt in enumerate(points)]
+    tasks = [{"index": i, "cfg": cfg, "point": pt}
+             for i, pt in enumerate(points)]
 
     jobs = cfg["jobs"]
     if jobs > 1:
@@ -570,59 +499,41 @@ def _run_sweep(cfg: dict, out: Path):
         results = [_sweep_eval(t) for t in tasks]
 
     value_keys = sorted({k for r in results if r["ok"] for k in r["values"]})
-    if not value_keys:
-        value_keys = []
 
-    # per-point CSVs plus the index
-    index_rows = []
-    point_files = []
+    # a min-over-theta column per value when a theta axis is present: the
+    # minimum within the group of rows sharing every other axis coordinate
+    def group(pt):
+        return tuple(pt[a] for a in axis_names if a != "theta")
+
+    by_theta = "theta" in axis_names and value_keys
+    min_cols = [f"min_theta_{k}" for k in value_keys] if by_theta else []
+    minima = {}
+    for pt, res in zip(points, results):
+        if by_theta and res["ok"]:
+            cur = minima.setdefault(group(pt), {})
+            for k, v in res["values"].items():
+                cur[k] = min(cur.get(k, v), v)
+
+    # one CSV per point, the index, and the aggregated CSV
+    header = axis_names + value_keys
+    index_rows, point_files, agg_rows = [], [], []
     for pt, res in zip(points, results):
         entry = {"index": res["index"], "params": pt, "ok": res["ok"]}
-        if res["ok"]:
-            fname = f"point_{res['index']:05d}.csv"
-            header = axis_names + value_keys
-            row = [pt[a] for a in axis_names] + \
-                [res["values"].get(k) for k in value_keys]
-            write_csv(out / fname, header, [row])
-            entry["file"] = fname
-            point_files.append(fname)
-        else:
-            entry["error"] = res["error"]
-        index_rows.append(entry)
-
-    # aggregated CSV with a min-over-theta column per value when a theta
-    # axis is present: the minimum within the group of rows sharing every
-    # other axis coordinate
-    min_cols = []
-    minima = {}
-    if "theta" in axis_names and value_keys:
-        min_cols = [f"min_theta_{k}" for k in value_keys]
-        group_axes = [a for a in axis_names if a != "theta"]
-        for pt, res in zip(points, results):
-            if not res["ok"]:
-                continue
-            gkey = tuple(pt[a] for a in group_axes)
-            cur = minima.setdefault(gkey, {})
-            for k in value_keys:
-                v = res["values"][k]
-                if k not in cur or v < cur[k]:
-                    cur[k] = v
-
-    agg_header = axis_names + value_keys + min_cols + ["ok"]
-    agg_rows = []
-    for pt, res in zip(points, results):
         row = [pt[a] for a in axis_names]
         if res["ok"]:
             row += [res["values"][k] for k in value_keys]
+            entry["file"] = f"point_{res['index']:05d}.csv"
+            write_csv(out / entry["file"], header, [row])
+            point_files.append(entry["file"])
         else:
             row += [math.nan] * len(value_keys)
+            entry["error"] = res["error"]
+        index_rows.append(entry)
         if min_cols:
-            gkey = tuple(pt[a] for a in axis_names if a != "theta")
-            group = minima.get(gkey, {})
-            row += [group.get(k, math.nan) for k in value_keys]
-        row.append(res["ok"])
-        agg_rows.append(row)
-    write_csv(out / "sweep.csv", agg_header, agg_rows)
+            row += [minima.get(group(pt), {}).get(k, math.nan)
+                    for k in value_keys]
+        agg_rows.append(row + [res["ok"]])
+    write_csv(out / "sweep.csv", header + min_cols + ["ok"], agg_rows)
 
     failed = sum(1 for r in results if not r["ok"])
     write_json(out / "sweep_index.json",
@@ -634,39 +545,156 @@ def _run_sweep(cfg: dict, out: Path):
     return (1 if failed else 0), summary, artifacts, {"failed": failed}
 
 
-RUNNERS = {
-    "freq": _run_freq,
-    "bands": _run_bands,
-    "discriminant": _run_discriminant,
-    "measure": _run_measure,
-    "lyapunov": _run_lyapunov,
-    "transport": _run_transport,
-    "moments": _run_moments,
-    "verify": _run_verify,
-    "theorem-demo": _run_theorem_demo,
-    "sweep": _run_sweep,
-}
-
-
 # ---------------------------------------------------------------------------
-# argument parsing and config assembly
+# the parameter table: each subcommand's flags, INI keys, defaults and checks
 
-def _add_common(sub, sampling=True, freq=True, theta=True):
-    sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="seed for randomized pieces")
-    if sampling:
-        sub.add_argument("--sampling", choices=("amo", "table", "zero"))
-        sub.add_argument("--lambda", dest="lam", type=float,
-                         help="cosine coupling for amo sampling")
-        sub.add_argument("--potential",
-                         help="comma-separated table sampling values")
-    if freq:
-        sub.add_argument("--freq",
-                         help="frequency: p/q, a float, or "
-                              "liouville:beta=B,q1=Q,depth=D")
-    if theta:
-        sub.add_argument("--theta", type=float, help="phase offset")
+def _csv_floats(text: str):
+    return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _truthy(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _check_names(text: str):
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    unknown = [c for c in names if c not in FLOQUET_CHECKS + TRANSPORT_CHECKS]
+    if unknown:
+        raise UsageError(f"unknown checks {unknown}")
+    return names
+
+
+class Param(NamedTuple):
+    """One parameter of a subcommand.  ``name`` is its config key (as in
+    manifest.json) and its INI key, where ``-`` may stand for ``_``.
+    ``cast`` turns flag, INI and default text alike into the value, which
+    must be one of ``choices`` if given.  ``flag`` overrides
+    ``--name-with-dashes``: a bare word is positional, "" means none.
+    ``run`` reads the INI entry from [run], not the command's section."""
+    name: str
+    cast: Callable = str
+    default: str | None = None
+    help: str | None = None
+    flag: str | None = None
+    choices: tuple = ()
+    run: bool = False
+
+
+class Command(NamedTuple):
+    help: str
+    runner: Callable
+    params: tuple
+    #: finish(args, cfg): what the table cannot say, applied after it
+    finish: Callable | None = None
+
+
+def _freq_command_spec(args, cfg: dict) -> None:
+    """The freq command's frequency: exactly one of --value, --rational
+    and --liouville (flags that are not config keys), else [freq] freq."""
+    given = [s for s in ("value", "rational", "liouville")
+             if getattr(args, s) is not None]
+    if len(given) > 1:
+        raise UsageError("pass exactly one of --value/--rational/--liouville")
+    if args.value is not None:
+        cfg["freq"] = {"kind": "value", "value": args.value,
+                       "max_terms": args.max_terms or 32}
+    elif args.rational is not None:
+        cfg["freq"] = parse_freq_spec(args.rational)
+    elif args.liouville is not None:
+        cfg["freq"] = _parse_liouville_fields(args.liouville)
+    elif cfg["freq"] is None:
+        raise UsageError("freq needs --value, --rational, or --liouville")
+
+
+def _fold_sweep_axes(args, cfg: dict) -> None:
+    grids = {axis: cfg.pop(key) for axis, key in SWEEP_AXES.items()}
+    cfg["axes"] = {axis: grid for axis, grid in grids.items()
+                   if grid is not None}
+    cfg["command"] = cfg.pop("point_command")
+
+
+def _lyapunov(theta_count: str):
+    return (Param("n_steps", int, "10000"),
+            Param("theta_count", int, theta_count),
+            Param("theta_mode", str, "golden", choices=("golden", "random")))
+
+
+SEED = Param("seed", int, "0", "seed for randomized pieces", run=True)
+SAMPLING = (Param("sampling", str, "amo", choices=("amo", "table", "zero")),
+            Param("lam", float, "1.0", "cosine coupling for amo sampling",
+                  flag="--lambda"),
+            Param("potential", _csv_floats, None,
+                  "comma-separated table sampling values"))
+FREQ = Param("freq", parse_freq_spec, "0.6180339887498949",
+             "frequency: p/q, a float, or liouville:beta=B,q1=Q,depth=D")
+PERIODIC_FREQ = FREQ._replace(default="8/13")
+THETA = Param("theta", float, "0.0", "phase offset")
+E_RANGE = (Param("e_min", float), Param("e_max", float))
+KAPPA_GRID = Param("kappa_grid", int, "64")
+TIME_SCALE = Param("time_scale", float, "20.0")
+ORDERS = Param("orders", _csv_floats, "1,2", "comma-separated moment orders")
+RADIUS = Param("radius", int)
+MAX_SITE = Param("max_site", int, "60")
+
+COMMANDS = {
+    "freq": Command(
+        "continued-fraction data for a frequency", _run_freq,
+        (FREQ._replace(default=None, flag=""),), _freq_command_spec),
+    "bands": Command(
+        "band structure of a periodic model", _run_bands,
+        (*SAMPLING, PERIODIC_FREQ, THETA, KAPPA_GRID)),
+    "discriminant": Command(
+        "discriminant on an energy grid", _run_discriminant,
+        (*SAMPLING, PERIODIC_FREQ, THETA, *E_RANGE,
+         Param("count", int, "512"))),
+    "measure": Command(
+        "uniform spectral-measure lower bound eta", _run_measure,
+        (*SAMPLING, PERIODIC_FREQ, *E_RANGE, Param("theta_grid", int, "16"),
+         KAPPA_GRID)),
+    "lyapunov": Command(
+        "phase-averaged Lyapunov estimates", _run_lyapunov,
+        (*SAMPLING, FREQ,
+         Param("energies", _csv_floats, None, "comma-separated energy list"),
+         *E_RANGE, Param("e_count", int, "17"), *_lyapunov("100"))),
+    "transport": Command(
+        "Abel-averaged site probabilities at one T", _run_transport,
+        (*SAMPLING, FREQ, THETA, TIME_SCALE, RADIUS, MAX_SITE)),
+    "moments": Command(
+        "Abel-averaged position moments", _run_moments,
+        (*SAMPLING, FREQ, THETA, TIME_SCALE, ORDERS, RADIUS)),
+    "verify": Command(
+        "identity and consistency suites", _run_verify,
+        (Param("suite", str, "all", flag="suite",
+               choices=("floquet", "transport", "all")),
+         Param("trials", int, "20", "random models for floquet"),
+         Param("q_max", int, "8"),
+         Param("samples_per_model", int, "4"),
+         Param("checks", _check_names, None, "comma-separated check subset"),
+         Param("time_scales", _csv_floats, "5,20",
+               "comma-separated T list (transport)"),
+         MAX_SITE,
+         Param("corrupt", _truthy, "false",
+               "corrupt a matrix corner (self-test of the checks)"))),
+    "theorem-demo": Command(
+        "end-to-end subsequence transport demonstration", _run_theorem_demo,
+        (*SAMPLING, Param("delta", float, "0.45"),
+         Param("depth_budget", int, "3"), Param("theta_grid", int, "64"),
+         Param("p_list", _csv_floats, "1,2", "comma-separated moment orders"),
+         Param("beta_target", float, "2.0"),
+         Param("max_radius", int, "2500"))),
+    "sweep": Command(
+        "grid sweep of moments or lyapunov", _run_sweep,
+        (*SAMPLING, FREQ, THETA,
+         Param("point_command", str, "moments", flag="--command",
+               choices=tuple(POINT_AXES)),
+         *(Param(key, functools.partial(parse_axis, name=axis,
+                                        integer=axis == "depth"),
+                 None, f"{axis} axis: a,b,c or lin:lo:hi:n or grid:n")
+           for axis, key in SWEEP_AXES.items()),
+         TIME_SCALE, ORDERS, RADIUS, *_lyapunov("16"),
+         Param("jobs", int, "1", "worker pool size", run=True)),
+        _fold_sweep_axes),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -680,239 +708,95 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run the configuration stored in a manifest")
     parser.add_argument("--out", help="output directory (with --from-manifest)")
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("freq", help="continued-fraction data for a frequency")
-    _add_common(p, sampling=False, freq=False, theta=False)
-    p.add_argument("--value", type=float, help="float frequency in (0, 1)")
-    p.add_argument("--rational", help="p/q")
-    p.add_argument("--liouville", help="beta=B,q1=Q,depth=D construction")
-    p.add_argument("--max-terms", type=int, help="expansion depth for --value")
-
-    p = subs.add_parser("bands", help="band structure of a periodic model")
-    _add_common(p)
-    p.add_argument("--kappa-grid", type=int)
-
-    p = subs.add_parser("discriminant", help="discriminant on an energy grid")
-    _add_common(p)
-    p.add_argument("--e-min", type=float)
-    p.add_argument("--e-max", type=float)
-    p.add_argument("--count", type=int)
-
-    p = subs.add_parser("measure",
-                        help="uniform spectral-measure lower bound eta")
-    _add_common(p)
-    p.add_argument("--e-min", type=float)
-    p.add_argument("--e-max", type=float)
-    p.add_argument("--theta-grid", type=int)
-    p.add_argument("--kappa-grid", type=int)
-
-    p = subs.add_parser("lyapunov", help="phase-averaged Lyapunov estimates")
-    _add_common(p, theta=False)
-    p.add_argument("--energies", help="comma-separated energy list")
-    p.add_argument("--e-min", type=float)
-    p.add_argument("--e-max", type=float)
-    p.add_argument("--e-count", type=int)
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--theta-count", type=int)
-    p.add_argument("--theta-mode", choices=("golden", "random"))
-
-    p = subs.add_parser("transport",
-                        help="Abel-averaged site probabilities at one T")
-    _add_common(p)
-    p.add_argument("--time-scale", type=float)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--max-site", type=int)
-
-    p = subs.add_parser("moments", help="Abel-averaged position moments")
-    _add_common(p)
-    p.add_argument("--time-scale", type=float)
-    p.add_argument("--orders", help="comma-separated moment orders")
-    p.add_argument("--radius", type=int)
-
-    p = subs.add_parser("verify", help="identity and consistency suites")
-    _add_common(p, sampling=False, freq=False, theta=False)
-    p.add_argument("suite", nargs="?", choices=("floquet", "transport", "all"))
-    p.add_argument("--trials", type=int, help="random models for floquet")
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--samples-per-model", type=int)
-    p.add_argument("--checks", help="comma-separated check subset")
-    p.add_argument("--time-scales", help="comma-separated T list (transport)")
-    p.add_argument("--max-site", type=int)
-    p.add_argument("--corrupt", action="store_const", const=True,
-                   help="corrupt a matrix corner (self-test of the checks)")
-
-    p = subs.add_parser("theorem-demo",
-                        help="end-to-end subsequence transport demonstration")
-    _add_common(p, freq=False, theta=False)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--depth-budget", type=int)
-    p.add_argument("--theta-grid", type=int)
-    p.add_argument("--p-list", help="comma-separated moment orders")
-    p.add_argument("--beta-target", type=float)
-    p.add_argument("--max-radius", type=int)
-
-    p = subs.add_parser("sweep", help="grid sweep of moments or lyapunov")
-    _add_common(p)
-    p.add_argument("--command", dest="point_command",
-                   choices=("moments", "lyapunov"))
-    p.add_argument("--lambdas", help="coupling axis (list, lin:, grid:)")
-    p.add_argument("--thetas", help="phase axis")
-    p.add_argument("--energies", help="energy axis (lyapunov)")
-    p.add_argument("--times", help="time-scale axis (moments)")
-    p.add_argument("--depths", help="convergent-depth axis")
-    p.add_argument("--time-scale", type=float, help="fixed T (moments)")
-    p.add_argument("--orders", help="moment orders (moments)")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--n-steps", type=int)
-    p.add_argument("--theta-count", type=int)
-    p.add_argument("--theta-mode", choices=("golden", "random"))
-    p.add_argument("--jobs", type=int, help="worker pool size")
-
+    for name, command in COMMANDS.items():
+        # no prefix matching: a flag a command lacks must not reach another
+        sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
+        sub.add_argument("--config", help="INI config file")
+        sub.add_argument("--out", help="output directory")
+        for p in (SEED, *command.params):
+            flag = "--" + p.name.replace("_", "-") if p.flag is None \
+                else p.flag
+            kw = {"help": p.help, "choices": p.choices or None}
+            if p.cast is _truthy:
+                kw = {"help": p.help, "action": "store_const",
+                      "const": "true"}
+            if flag.startswith("--"):
+                sub.add_argument(flag, dest=p.name, **kw)
+            elif flag:
+                sub.add_argument(flag, nargs="?", **kw)
+    freq = subs.choices["freq"]
+    freq.add_argument("--value", type=float, help="float frequency in (0, 1)")
+    freq.add_argument("--rational", help="p/q")
+    freq.add_argument("--liouville", help="beta=B,q1=Q,depth=D construction")
+    freq.add_argument("--max-terms", type=int, help="expansion depth for --value")
     return parser
 
 
-def _sampling_cfg(ps: ParamSet) -> None:
-    ps.get("sampling", default="amo")
-    ps.get("lam", default=1.0, cast=float)
-    pot = ps.get("potential", default=None)
-    if isinstance(pot, str):
-        ps.resolved["potential"] = _csv_floats(pot)
+def _load_ini(path: str | None) -> configparser.ConfigParser | None:
+    if path is None:
+        return None
+    ini = configparser.ConfigParser()
+    if not ini.read(path):
+        raise UsageError(f"config file {path!r} not found or unreadable")
+    return ini
 
 
-def _freq_cfg(ps: ParamSet, default="0.6180339887498949") -> None:
-    spec = ps.get("freq", default=default)
-    if isinstance(spec, str):
-        spec = parse_freq_spec(spec)
-    ps.resolved["freq"] = spec
+def _ini_text(ini, section: str, name: str):
+    for key in (name, name.replace("_", "-")):
+        if ini.has_option(section, key):
+            return ini.get(section, key)
+    return None
+
+
+def _check_ini_keys(ini, command: str) -> None:
+    """Reject keys of [run] or of the command's section that no parameter
+    reads; other commands' sections are left alone."""
+    run_keys = {"out"} | {p.name for c in COMMANDS.values()
+                          for p in (SEED, *c.params) if p.run}
+    own_keys = {p.name for p in COMMANDS[command].params if not p.run}
+    for section, names in (("run", run_keys), (command, own_keys)):
+        names |= {n.replace("_", "-") for n in names}
+        if ini.has_section(section):
+            unknown = [k for k in ini.options(section) if k not in names]
+            if unknown:
+                raise UsageError(f"config [{section}]: unknown keys {unknown}")
+
+
+def _resolve_out(args, ini) -> str:
+    if getattr(args, "out", None):
+        return args.out
+    env = os.environ.get(OUT_ENV_VAR)
+    if env:
+        return env
+    if ini is not None and ini.has_option("run", "out"):
+        return ini.get("run", "out")
+    return DEFAULT_OUT
 
 
 def assemble_config(args, ini) -> dict:
-    """Merge flags over INI into the fully resolved config dict for the
-    chosen subcommand."""
-    cmd = args.command
-    ps = ParamSet(args, ini, cmd)
-    ps.get("seed", default=0, cast=int, run_section=True)
-
-    if cmd == "freq":
-        given = [s for s in ("value", "rational", "liouville")
-                 if getattr(args, s, None) is not None]
-        if len(given) > 1:
-            raise UsageError("pass exactly one of --value/--rational/--liouville")
-        if args.value is not None:
-            ps.resolved["freq"] = {"kind": "value", "value": args.value,
-                                   "max_terms": args.max_terms or 32}
-        elif args.rational is not None:
-            ps.resolved["freq"] = parse_freq_spec(args.rational)
-        elif args.liouville is not None:
-            ps.resolved["freq"] = _parse_liouville_fields(args.liouville)
-        else:
-            raw = ps.get("freq", default=None)
-            if raw is None:
-                raise UsageError("freq needs --value, --rational, or --liouville")
-            ps.resolved["freq"] = parse_freq_spec(raw) \
-                if isinstance(raw, str) else raw
-    elif cmd == "bands":
-        _sampling_cfg(ps)
-        _freq_cfg(ps, default="8/13")
-        ps.get("theta", default=0.0, cast=float)
-        ps.get("kappa_grid", default=64, cast=int)
-    elif cmd == "discriminant":
-        _sampling_cfg(ps)
-        _freq_cfg(ps, default="8/13")
-        ps.get("theta", default=0.0, cast=float)
-        ps.get("e_min", default=None, cast=float)
-        ps.get("e_max", default=None, cast=float)
-        ps.get("count", default=512, cast=int)
-    elif cmd == "measure":
-        _sampling_cfg(ps)
-        _freq_cfg(ps, default="8/13")
-        ps.get("theta_grid", default=16, cast=int)
-        ps.get("kappa_grid", default=64, cast=int)
-        ps.get("e_min", default=None, cast=float)
-        ps.get("e_max", default=None, cast=float)
-    elif cmd == "lyapunov":
-        _sampling_cfg(ps)
-        _freq_cfg(ps)
-        en = ps.get("energies", default=None)
-        if isinstance(en, str):
-            ps.resolved["energies"] = _csv_floats(en)
-        ps.get("e_min", default=None, cast=float)
-        ps.get("e_max", default=None, cast=float)
-        ps.get("e_count", default=17, cast=int)
-        ps.get("n_steps", default=10_000, cast=int)
-        ps.get("theta_count", default=100, cast=int)
-        ps.get("theta_mode", default="golden")
-    elif cmd == "transport":
-        _sampling_cfg(ps)
-        _freq_cfg(ps)
-        ps.get("theta", default=0.0, cast=float)
-        ps.get("time_scale", default=20.0, cast=float)
-        ps.get("radius", default=None, cast=int)
-        ps.get("max_site", default=60, cast=int)
-    elif cmd == "moments":
-        _sampling_cfg(ps)
-        _freq_cfg(ps)
-        ps.get("theta", default=0.0, cast=float)
-        ps.get("time_scale", default=20.0, cast=float)
-        orders = ps.get("orders", default="1,2")
-        if isinstance(orders, str):
-            ps.resolved["orders"] = _csv_floats(orders)
-        ps.get("radius", default=None, cast=int)
-    elif cmd == "verify":
-        ps.get("suite", default="all")
-        ps.get("trials", default=20, cast=int)
-        ps.get("q_max", default=8, cast=int)
-        ps.get("samples_per_model", default=4, cast=int)
-        checks = ps.get("checks", default=None)
-        if isinstance(checks, str):
-            ps.resolved["checks"] = [c.strip() for c in checks.split(",")
-                                     if c.strip()]
-        ts = ps.get("time_scales", default="5,20")
-        if isinstance(ts, str):
-            ps.resolved["time_scales"] = _csv_floats(ts)
-        ps.get("max_site", default=60, cast=int)
-        ps.get("corrupt", default=False, cast=bool)
-    elif cmd == "theorem-demo":
-        _sampling_cfg(ps)
-        ps.get("delta", default=0.45, cast=float)
-        ps.get("depth_budget", default=3, cast=int)
-        ps.get("theta_grid", default=64, cast=int)
-        plist = ps.get("p_list", default="1,2")
-        if isinstance(plist, str):
-            ps.resolved["p_list"] = _csv_floats(plist)
-        ps.get("beta_target", default=2.0, cast=float)
-        ps.get("max_radius", default=2500, cast=int)
-    elif cmd == "sweep":
-        _sampling_cfg(ps)
-        _freq_cfg(ps)
-        ps.get("theta", default=0.0, cast=float)
-        ps.get("point_command", default="moments")
-        ps.resolved["command"] = ps.resolved.pop("point_command")
-        axes = {}
-        for flag, axis, integer in (("lambdas", "lam", False),
-                                    ("thetas", "theta", False),
-                                    ("energies", "energy", False),
-                                    ("times", "time", False),
-                                    ("depths", "depth", True)):
-            raw = ps.get(flag, default=None)
-            if raw is not None:
-                axes[axis] = parse_axis(raw, axis, integer=integer)
-            ps.resolved.pop(flag, None)
-        ps.resolved["axes"] = axes
-        ps.get("time_scale", default=20.0, cast=float)
-        orders = ps.get("orders", default="1,2")
-        if isinstance(orders, str):
-            ps.resolved["orders"] = _csv_floats(orders)
-        ps.get("radius", default=None, cast=int)
-        ps.get("n_steps", default=10_000, cast=int)
-        ps.get("theta_count", default=16, cast=int)
-        ps.get("theta_mode", default="golden")
-        ps.get("jobs", default=1, cast=int, run_section=True)
-    else:
-        raise UsageError(f"unknown command {cmd!r}")
-
-    ps.resolved["out"] = _resolve_out(args, ini)
-    return ps.resolved
+    """Resolve each parameter of the chosen subcommand, flag > INI entry >
+    default, into the config dict that manifest.json records."""
+    command = COMMANDS[args.command]
+    if ini is not None:
+        _check_ini_keys(ini, args.command)
+    cfg = {}
+    for p in (SEED, *command.params):
+        text = getattr(args, p.name, None)
+        if text is None and ini is not None:
+            text = _ini_text(ini, "run" if p.run else args.command, p.name)
+        if text is None:
+            text = p.default
+        try:
+            cfg[p.name] = None if text is None else p.cast(text)
+        except (ValueError, TypeError):
+            raise UsageError(f"{p.name} = {text!r}: cannot convert") from None
+        if p.choices and cfg[p.name] not in p.choices:
+            raise UsageError(f"{p.name} = {text!r}: not one of "
+                             f"{', '.join(p.choices)}")
+    if command.finish is not None:
+        command.finish(args, cfg)
+    cfg["out"] = _resolve_out(args, ini)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -925,16 +809,16 @@ def _versions() -> dict:
 
 
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
-    out = Path(out_dir if out_dir is not None else cfg.get("out", DEFAULT_OUT))
+    out = Path(out_dir if out_dir is not None else cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    code, summary, artifacts, extra = RUNNERS[command](cfg, out)
+    code, summary, artifacts, extra = COMMANDS[command].runner(cfg, out)
     elapsed = time.perf_counter() - t0
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "config": cfg,
-        "seed": cfg.get("seed", 0),
+        "seed": cfg["seed"],
         "versions": _versions(),
         "timings": {"total_seconds": elapsed},
         "artifacts": artifacts,
@@ -943,15 +827,6 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     write_json(out / "manifest.json", manifest)
     print(f"{summary}  [{elapsed:.2f}s -> {out}]")
     return code
-
-
-def _restore_freq_spec(cfg: dict) -> dict:
-    """JSON round-trips tuples to lists; normalize the bits that matter."""
-    cfg = dict(cfg)
-    for key in ("orders", "p_list", "time_scales", "energies", "potential"):
-        if key in cfg and cfg[key] is not None:
-            cfg[key] = list(cfg[key])
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -965,9 +840,8 @@ def main(argv=None) -> int:
                 raise UsageError(
                     f"unrecognized manifest schema "
                     f"{manifest.get('schema')!r} (want {MANIFEST_SCHEMA})")
-            command = manifest["command"]
-            cfg = _restore_freq_spec(manifest["config"])
-            return execute(command, cfg, out_dir=args.out)
+            return execute(manifest["command"], manifest["config"],
+                           out_dir=args.out)
         if not args.command:
             parser.print_usage(sys.stderr)
             print("qpt: error: a subcommand is required", file=sys.stderr)

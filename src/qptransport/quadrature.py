@@ -154,14 +154,3 @@ def integrate_left_tail(func, e0: float, scale: float = 1.0,
 
     return adaptive_integrate(transformed, 0.0, 1.0, **kwargs)
 
-
-def periodic_trapezoid(func, period: float, n: int) -> float:
-    """Uniform-grid trapezoid rule over one period of a periodic function,
-    which converges spectrally for smooth integrands."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if period <= 0:
-        raise InputError(f"period must be positive, got {period}")
-    grid = np.arange(n) * (period / n)
-    vals = np.asarray(func(grid), dtype=float)
-    return float(np.mean(vals) * period)

@@ -120,6 +120,23 @@ class TestVerifyCommand:
                      "--checks", "nonsense", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_unknown_check_rejected_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["verify", "floquet", "--trials", "1", "--q-max", "3",
+                     "--checks", "determinant,bogus", "--out", str(out)])
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_all_skips_suites_without_selected_checks(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "run"
+        code = main(["verify", "--checks", "ct", "--out", str(out)])
+        assert code == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert set(doc) == {"transport"}
+        assert not (out / "verify_floquet.csv").exists()
+
 
 class TestConfigLayering:
     def test_flags_beat_config_file(self, tmp_path, capsys):
@@ -134,6 +151,20 @@ class TestConfigLayering:
         assert manifest["config"]["time_scale"] == 4.0  # ini supplied
         assert manifest["config"]["orders"] == [2.0]
 
+    @pytest.mark.parametrize("ini_text, key", [
+        ("[moments]\nlambda = 3.0\n", "lambda"),
+        ("[run]\nsed = 4\n", "sed"),
+    ], ids=["command-section", "run-section"])
+    def test_unknown_ini_key_rejected(self, tmp_path, capsys, ini_text, key):
+        ini = tmp_path / "qpt.ini"
+        out = tmp_path / "run"
+        ini.write_text(ini_text)
+        code = main(["moments", "--config", str(ini), "--freq", "2/5",
+                     "--time-scale", "3", "--out", str(out)])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "envdir"
         monkeypatch.setenv("QPT_OUT", str(target))
@@ -146,6 +177,82 @@ class TestConfigLayering:
         assert main(["freq", "--rational", "3/8", "--out", str(flagged)]) == 0
         assert (flagged / "freq.json").exists()
         assert not (tmp_path / "envdir").exists()
+
+
+GOLDEN_SPEC = {"kind": "value", "max_terms": 32, "value": 0.6180339887498949}
+RATIONAL_2_5 = {"den": 5, "kind": "rational", "num": 2}
+RATIONAL_8_13 = {"den": 13, "kind": "rational", "num": 8}
+AMO_DEFAULTS = {"lam": 1.0, "potential": None, "sampling": "amo"}
+
+# One cheap invocation per subcommand, plus INI-layered cases: the exact
+# resolved config each writes into manifest.json ("out" is added per run).
+CONFIG_PINS = [
+    (["freq", "--value", "0.3", "--max-terms", "5"], None,
+     {"freq": {"kind": "value", "max_terms": 5, "value": 0.3}, "seed": 0}),
+    (["bands"], None,
+     {**AMO_DEFAULTS, "freq": RATIONAL_8_13, "kappa_grid": 64, "seed": 0,
+      "theta": 0.0}),
+    (["discriminant", "--e-min", "-3", "--e-max", "3"], None,
+     {**AMO_DEFAULTS, "count": 512, "e_max": 3.0, "e_min": -3.0,
+      "freq": RATIONAL_8_13, "seed": 0, "theta": 0.0}),
+    (["measure", "--freq", "2/5", "--e-min", "-1", "--e-max", "1"], None,
+     {**AMO_DEFAULTS, "e_max": 1.0, "e_min": -1.0, "freq": RATIONAL_2_5,
+      "kappa_grid": 64, "seed": 0, "theta_grid": 16}),
+    (["lyapunov", "--e-min", "0", "--e-max", "1", "--n-steps", "200",
+      "--theta-count", "2"], None,
+     {**AMO_DEFAULTS, "e_count": 17, "e_max": 1.0, "e_min": 0.0,
+      "energies": None, "freq": GOLDEN_SPEC, "n_steps": 200, "seed": 0,
+      "theta_count": 2, "theta_mode": "golden"}),
+    (["transport", "--freq", "2/5", "--time-scale", "3"], None,
+     {**AMO_DEFAULTS, "freq": RATIONAL_2_5, "max_site": 60, "radius": None,
+      "seed": 0, "theta": 0.0, "time_scale": 3.0}),
+    (["moments", "--freq", "2/5", "--time-scale", "3"], None,
+     {**AMO_DEFAULTS, "freq": RATIONAL_2_5, "orders": [1.0, 2.0],
+      "radius": None, "seed": 0, "theta": 0.0, "time_scale": 3.0}),
+    (["verify", "floquet", "--trials", "1", "--q-max", "3"], None,
+     {"checks": None, "corrupt": False, "max_site": 60, "q_max": 3,
+      "samples_per_model": 4, "seed": 0, "suite": "floquet",
+      "time_scales": [5.0, 20.0], "trials": 1}),
+    (["theorem-demo", "--depth-budget", "2", "--theta-grid", "2",
+      "--max-radius", "200"], None,
+     {**AMO_DEFAULTS, "beta_target": 2.0, "delta": 0.45, "depth_budget": 2,
+      "max_radius": 200, "p_list": [1.0, 2.0], "seed": 0, "theta_grid": 2}),
+    (["sweep", "--freq", "2/5", "--thetas", "0,0.5", "--time-scale", "3",
+      "--orders", "2"], None,
+     {**AMO_DEFAULTS, "axes": {"theta": [0.0, 0.5]}, "command": "moments",
+      "freq": RATIONAL_2_5, "jobs": 1, "n_steps": 10000, "orders": [2.0],
+      "radius": None, "seed": 0, "theta": 0.0, "theta_count": 16,
+      "theta_mode": "golden", "time_scale": 3.0}),
+    (["freq"], "[freq]\nfreq = 3/8\n",
+     {"freq": {"den": 8, "kind": "rational", "num": 3}, "seed": 0}),
+    (["sweep", "--lambda", "2.0", "--times", "2,3"],
+     "[run]\nseed = 3\njobs = 1\n\n"
+     "[sweep]\npoint-command = moments\nthetas = 0,0.5\ntime_scale = 3\n"
+     "orders = 2\nlam = 1.5\nfreq = 2/5\ntheta-count = 4\n\n"
+     "[moments]\nlambda = 3.0\n",
+     {**AMO_DEFAULTS, "axes": {"theta": [0.0, 0.5], "time": [2.0, 3.0]},
+      "command": "moments", "freq": RATIONAL_2_5, "jobs": 1, "lam": 2.0,
+      "n_steps": 10000, "orders": [2.0], "radius": None, "seed": 3,
+      "theta": 0.0, "theta_count": 4, "theta_mode": "golden",
+      "time_scale": 3.0}),
+]
+
+
+class TestConfigPin:
+    @pytest.mark.parametrize("argv, ini_text, expected", CONFIG_PINS,
+                             ids=[f"{c[0][0]}{'-ini' if c[1] else ''}"
+                                  for c in CONFIG_PINS])
+    def test_resolved_config(self, tmp_path, capsys, argv, ini_text,
+                             expected):
+        out = tmp_path / "run"
+        argv = argv + ["--out", str(out)]
+        if ini_text is not None:
+            ini = tmp_path / "qpt.ini"
+            ini.write_text(ini_text)
+            argv += ["--config", str(ini)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {**expected, "out": str(out)}
 
 
 class TestManifest:
@@ -218,6 +325,44 @@ class TestSweep:
         index = json.loads((out / "sweep_index.json").read_text())
         assert index["failed"] == 1
         assert "error" in index["points"][1]
+
+    def test_unexpected_point_errors_recorded(self, tmp_path, capsys,
+                                              monkeypatch):
+        import numpy as np
+
+        import qptransport.cli as cli
+        real = cli.moments
+
+        def flaky(chain, t, **kw):
+            if t == 5.0:
+                raise np.linalg.LinAlgError("eigensolver did not converge")
+            return real(chain, t, **kw)
+
+        monkeypatch.setattr(cli, "moments", flaky)
+        out = tmp_path / "run"
+        code = main(["sweep", "--command", "moments", "--freq", "2/5",
+                     "--times", "4,5,3", "--orders", "2", "--jobs", "1",
+                     "--out", str(out)])
+        assert code == 1
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert index["failed"] == 1
+        assert [p["ok"] for p in index["points"]] == [True, False, True]
+        assert index["points"][1]["error"] == \
+            "LinAlgError: eigensolver did not converge"
+
+    @pytest.mark.parametrize("point, axis", [
+        ("lyapunov", ["--thetas", "0,0.5"]),
+        ("lyapunov", ["--times", "2,3"]),
+        ("moments", ["--energies", "0,1"]),
+    ])
+    def test_axis_the_point_ignores_is_usage_error(self, tmp_path, capsys,
+                                                   point, axis):
+        out = tmp_path / "run"
+        code = main(["sweep", "--command", point, "--freq", "2/5",
+                     "--n-steps", "100", "--theta-count", "2",
+                     "--time-scale", "3", "--out", str(out)] + axis)
+        assert code == 2
+        assert not (out / "sweep.csv").exists()
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--command", "moments", "--freq", "2/5",

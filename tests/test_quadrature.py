@@ -7,8 +7,7 @@ import pytest
 
 from qptransport.errors import InputError, NumericalError
 from qptransport.quadrature import (QuadratureResult, adaptive_integrate,
-                                    integrate_left_tail, integrate_right_tail,
-                                    periodic_trapezoid)
+                                    integrate_left_tail, integrate_right_tail)
 
 
 class TestAdaptive:
@@ -108,26 +107,3 @@ class TestTails:
         with pytest.raises(InputError):
             integrate_left_tail(lambda e: e, 0.0, scale=-1.0)
 
-
-class TestPeriodicTrapezoid:
-    def test_cos_squared_mean(self):
-        v = periodic_trapezoid(lambda x: np.cos(3 * x) ** 2, 2 * math.pi, 16)
-        assert v == pytest.approx(math.pi, abs=1e-13)
-
-    def test_constant(self):
-        assert periodic_trapezoid(lambda x: np.ones_like(x), 1.0, 5) == \
-            pytest.approx(1.0)
-
-    def test_spectral_convergence(self):
-        # smooth periodic integrand: doubling n beyond the bandwidth changes
-        # nothing at machine precision
-        f = lambda x: np.exp(np.cos(x))
-        a = periodic_trapezoid(f, 2 * math.pi, 32)
-        b = periodic_trapezoid(f, 2 * math.pi, 64)
-        assert a == pytest.approx(b, abs=1e-14)
-
-    def test_bad_inputs(self):
-        with pytest.raises(InputError):
-            periodic_trapezoid(np.sin, 2 * math.pi, 0)
-        with pytest.raises(InputError):
-            periodic_trapezoid(np.sin, 0.0, 8)
