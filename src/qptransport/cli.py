@@ -274,7 +274,7 @@ def _run_discriminant(cfg: dict, out: Path):
         lo = bs.bands[0].lo - pad if lo is None else lo
         hi = bs.bands[-1].hi + pad if hi is None else hi
     energies = np.linspace(lo, hi, cfg["count"])
-    rows = [(e, discriminant(model, e)) for e in energies]
+    rows = zip(energies.tolist(), discriminant(model, energies).tolist())
     write_csv(out / "discriminant.csv", ("energy", "discriminant"), rows)
     summary = (f"discriminant q={model.q} on [{lo:.6g}, {hi:.6g}] "
                f"({cfg['count']} points)")
@@ -736,9 +736,30 @@ def _load_ini(path: str | None) -> configparser.ConfigParser | None:
     if path is None:
         return None
     ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise UsageError(f"config file {path!r} not found or unreadable")
+    try:
+        if not ini.read(path):
+            raise UsageError(f"config file {path!r} not found or unreadable")
+        for section in ini.sections():
+            for key in ini.options(section):
+                ini.get(section, key)  # interpolation errors surface here
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path!r}: {exc}") from None
     return ini
+
+
+def _load_manifest(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise UsageError(f"manifest {path!r}: {exc}") from None
+    if not (isinstance(manifest, dict)
+            and manifest.get("schema") == MANIFEST_SCHEMA
+            and manifest.get("command") in COMMANDS
+            and isinstance(manifest.get("config"), dict)):
+        raise UsageError(f"manifest {path!r} is not a {MANIFEST_SCHEMA} "
+                         "manifest with a known command and its config")
+    return manifest
 
 
 def _ini_text(ini, section: str, name: str):
@@ -810,9 +831,17 @@ def _versions() -> dict:
 
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg["out"])
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    code, summary, artifacts, extra = COMMANDS[command].runner(cfg, out)
+    try:
+        code, summary, artifacts, extra = COMMANDS[command].runner(cfg, out)
+    except UsageError:
+        for d in created:  # deepest first; one holding files stays
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     elapsed = time.perf_counter() - t0
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -834,12 +863,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.from_manifest:
-            with open(args.from_manifest) as fh:
-                manifest = json.load(fh)
-            if manifest.get("schema") != MANIFEST_SCHEMA:
-                raise UsageError(
-                    f"unrecognized manifest schema "
-                    f"{manifest.get('schema')!r} (want {MANIFEST_SCHEMA})")
+            manifest = _load_manifest(args.from_manifest)
             return execute(manifest["command"], manifest["config"],
                            out_dir=args.out)
         if not args.command:

@@ -27,6 +27,7 @@ from .errors import (
     NearDegenerateError,
 )
 from .operator import PeriodicModel, SamplingFunction, periodic_model
+from .transfer import cocycle
 
 _EPS_CUBE_ROOT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -95,23 +96,38 @@ def floquet_eigensystem(model: PeriodicModel, kappa: float) -> FloquetEigensyste
     return FloquetEigensystem(kappa=float(kappa), eigenvalues=w, eigenvectors=u)
 
 
-def _transfer_trace(potential: np.ndarray, energy) -> complex:
-    """Trace of the one-period transfer product T(q-1)...T(0) at energy."""
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for v in potential:
-        a = energy - v
-        m00, m01, m10, m11 = (a * m00 - m10, a * m01 - m11, m00, m01)
-    return m00 + m11
+def fiber_eigensystems(model: PeriodicModel, kappas
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and two-site weights phi, each (K, q), of
+    the fiber matrices at K kappas: equal to floquet_eigensystem's, from
+    one eigh call per stack of at most max(q^2, 2^16) matrix entries.
+    For q = 1 site 1 is site 0 of the next cell, so phi = 2."""
+    kappas = np.asarray(kappas, dtype=float).ravel()
+    q = model.q
+    per_block = max(1, (1 << 16) // (q * q))
+    lams = np.empty((kappas.size, q))
+    phi = np.empty((kappas.size, q))
+    for lo in range(0, kappas.size, per_block):
+        rows = slice(lo, lo + per_block)
+        lams[rows], u = np.linalg.eigh(
+            np.stack([floquet_matrix(model, k) for k in kappas[rows]]))
+        phi[rows] = np.abs(u[:, 0]) ** 2 + np.abs(u[:, 1 % q]) ** 2
+    return lams, phi
 
 
-def discriminant(model: PeriodicModel, energy: float) -> float:
+def discriminant(model: PeriodicModel, energy):
     """Discriminant Delta_q(E) = (-1)^q * trace of the period transfer matrix.
 
     The sign makes det(A_q(kappa) - E) = Delta_q(E) + 2(-1)^(q-1) cos(q kappa)
-    hold for every q; for even q this is the plain transfer trace.
+    hold for every q; for even q this is the plain transfer trace.  Takes a
+    scalar energy (returns a float) or an array of energies.
     """
-    tr = _transfer_trace(model.potential, float(energy))
-    return float(((-1) ** model.q) * tr)
+    e = np.asarray(energy, dtype=float)
+    # a = E - V(n) over (sites of one period, *energies, 1)
+    a = np.moveaxis(e[..., None] - model.potential, -1, 0)[..., None]
+    x, y, log_scale = cocycle(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    delta = ((-1) ** model.q) * (np.exp(log_scale) * (x[..., 0] + y[..., 1]))
+    return float(delta) if e.ndim == 0 else delta
 
 
 def discriminant_derivative(model: PeriodicModel, energy: float,
@@ -197,9 +213,7 @@ def band_structure(model: PeriodicModel, kappa_grid: int = 64) -> BandStructure:
         raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
     q = model.q
     kappas = np.linspace(0.0, math.pi / q, kappa_grid)
-    grid = np.empty((kappa_grid, q))
-    for i, kap in enumerate(kappas):
-        grid[i] = np.linalg.eigh(floquet_matrix(model, kap))[0]
+    grid = fiber_eigensystems(model, kappas)[0]
     lam0, lam_pi = grid[0], grid[-1]
     bands = tuple(Band(j=j + 1, edge_zero=float(lam0[j]), edge_pi=float(lam_pi[j]))
                   for j in range(q))
@@ -325,17 +339,18 @@ def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
     return lower, upper
 
 
-def spectral_measure_interval(model: PeriodicModel, kappa: float,
-                              interval: tuple[float, float]) -> float:
-    """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed interval."""
+def spectral_measure_interval(model: PeriodicModel, kappa,
+                              interval: tuple[float, float]):
+    """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed
+    interval; a list of masses when kappa is an array."""
     a, b = interval
     if b < a:
         raise InputError(f"empty interval [{a}, {b}]")
     if model.q < 2:
         raise InputError("the two-site spectral measure needs q >= 2")
-    sys = floquet_eigensystem(model, kappa)
-    inside = (sys.eigenvalues >= a) & (sys.eigenvalues <= b)
-    return float(np.sum(sys.phi[inside]))
+    lams, phi = fiber_eigensystems(model, kappa)
+    masses = [float(np.sum(p[(w >= a) & (w <= b)])) for w, p in zip(lams, phi)]
+    return masses if np.ndim(kappa) else masses[0]
 
 
 @dataclass(frozen=True)
@@ -353,12 +368,9 @@ def measure_kappa_infimum(model: PeriodicModel, interval: tuple[float, float],
     if kappa_grid < 2:
         raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
     kappas = np.linspace(0.0, math.pi / model.q, kappa_grid)
-    best, arg = math.inf, 0.0
-    for kap in kappas:
-        m = spectral_measure_interval(model, kap, interval)
-        if m < best:
-            best, arg = m, float(kap)
-    return best, arg
+    masses = spectral_measure_interval(model, kappas, interval)
+    k = int(np.argmin(masses))
+    return masses[k], float(kappas[k])
 
 
 def measure_uniform_lower_bound(f: SamplingFunction, alpha: Fraction,
@@ -389,9 +401,7 @@ def phi_occupation_measure(model: PeriodicModel, j: int, threshold: float,
         raise InputError("phi occupation needs q >= 2")
     if not 1 <= j <= q:
         raise InputError(f"band index {j} outside 1..{q}")
-    kappas = np.linspace(0.0, math.pi / q, kappa_grid)
-    count = 0
-    for kap in kappas:
-        if floquet_eigensystem(model, kap).phi[j - 1] > threshold:
-            count += 1
+    _, phi = fiber_eigensystems(model, np.linspace(0.0, math.pi / q,
+                                                   kappa_grid))
+    count = int(np.count_nonzero(phi[:, j - 1] > threshold))
     return (count / kappa_grid) * (math.pi / q)

@@ -20,12 +20,6 @@ from .errors import InputError
 TWO_PI = 2.0 * math.pi
 
 
-def torus_distance(x, y):
-    """dist(x, y) on R/Z: min over integers k of |x - y + k|."""
-    d = abs((float(x) - float(y)) % 1.0)
-    return min(d, 1.0 - d)
-
-
 class SamplingFunction:
     """Real 1-periodic function on the circle, with a Lipschitz constant."""
 
@@ -144,10 +138,6 @@ class Chain:
         return sample_potential(self.f, self.alpha, self.theta, n_lo, n_hi)
 
     @property
-    def is_periodic(self) -> bool:
-        return isinstance(self.alpha, Fraction)
-
-    @property
     def norm_bound(self) -> float:
         """Upper bound on the operator norm, 2 + sup|f|."""
         # sup|f| from a scan; exact for the analytic kinds
@@ -160,11 +150,6 @@ class Chain:
         else:
             sup = float(np.max(np.abs(self.f(np.linspace(0, 1, 4096, endpoint=False)))))
         return 2.0 + sup
-
-    def as_periodic_model(self) -> "PeriodicModel":
-        if not self.is_periodic:
-            raise InputError("chain frequency is not rational")
-        return periodic_model(self.f, self.alpha, self.theta)
 
 
 @dataclass(frozen=True)

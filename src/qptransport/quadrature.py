@@ -141,16 +141,7 @@ def integrate_right_tail(func, e0: float, scale: float = 1.0,
 
 def integrate_left_tail(func, e0: float, scale: float = 1.0,
                         **kwargs) -> QuadratureResult:
-    """Integral of func over (-infinity, e0]."""
-    if scale <= 0:
-        raise InputError(f"scale must be positive, got {scale}")
-
-    def transformed(u):
-        u = np.asarray(u, dtype=float)
-        e = e0 - scale * (1.0 - u) / u
-        vals = np.asarray(func(e), dtype=float)
-        jac = scale / u ** 2
-        return vals * (jac if vals.ndim == 1 else jac[:, None])
-
-    return adaptive_integrate(transformed, 0.0, 1.0, **kwargs)
+    """Integral of func over (-infinity, e0]: the right tail of func(-E)
+    from -e0, whose nodes -(-e0 + t) equal e0 - t exactly."""
+    return integrate_right_tail(lambda e: func(-e), -e0, scale, **kwargs)
 

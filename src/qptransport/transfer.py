@@ -18,10 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .operator import Chain, PeriodicModel, SamplingFunction, _orbit_points
+from .operator import Chain, PeriodicModel, SamplingFunction, sample_potential
 
 RENORM_CADENCE = 32
 _OVERFLOW_GUARD = 1e250
+# log of the state size the cocycle renormalizes before: squares stay finite
+_RENORM_BUDGET = 0.5 * math.log(_OVERFLOW_GUARD)
+# Lyapunov steps per block of E - V(n) values; a multiple of the cadence
+_STEP_BLOCK = 64 * RENORM_CADENCE
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -62,7 +66,7 @@ class TransferProduct:
     @property
     def log_norm(self) -> float:
         """log of the spectral norm of the true product."""
-        return self.log_scale + math.log(_spectral_norm_2x2(self.matrix_scaled))
+        return self.log_scale + math.log(np.linalg.norm(self.matrix_scaled, 2))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -77,45 +81,67 @@ class TransferProduct:
         return self.matrix @ np.asarray(vec, dtype=float)
 
 
-def _spectral_norm_2x2(m: np.ndarray) -> float:
-    a = m[0, 0] ** 2 + m[1, 0] ** 2
-    b = m[0, 1] ** 2 + m[1, 1] ** 2
-    c = m[0, 0] * m[0, 1] + m[1, 0] * m[1, 1]
-    half = 0.5 * (a + b)
-    rad = math.sqrt(max(0.0, (0.5 * (a - b)) ** 2 + c * c))
-    return math.sqrt(max(half + rad, 0.0))
+def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0.0,
+                  renormalize: bool = True):
+    """Yield (x, y, log_scale) after each step (x, y) -> (a x - y, x), or
+    with inverse (x, y) -> (y, a y - x), over axis 0 of a = E - V(n).
 
-
-def transfer_product(source, energy: float, n_lo: int, n_hi: int,
-                     inverse: bool = False) -> TransferProduct:
-    """Product of one-step matrices over the site interval [n_lo, n_hi].
-
-    Forward: T(n_hi)...T(n_lo).  Inverse: T^{-1}(n_lo)...T^{-1}(n_hi),
-    matching the left-half-line convention (most negative site leftmost).
+    Rows of ``a`` broadcast against the states, whose last axis groups
+    columns that share one scale.  Every RENORM_CADENCE steps (sooner for
+    large |a|) each group is divided by its Frobenius norm, whose log adds
+    to log_scale: the true states are exp(log_scale) * (x, y).
+    renormalize=False keeps the plain recurrence's values and raises
+    NumericalError once the newest |psi| passes _OVERFLOW_GUARD.
     """
-    if n_hi < n_lo:
-        raise InputError(f"empty site interval [{n_lo}, {n_hi}]")
-    v_arr = _potential_segment(source, n_lo, n_hi)
-    energy = float(energy)
-    order = range(len(v_arr) - 1, -1, -1) if inverse else range(len(v_arr))
+    a = np.asarray(a, dtype=float)
+    shape = np.broadcast_shapes(a.shape[1:], np.shape(x), np.shape(y)) or (1,)
+    x, y = np.broadcast_to(x, shape), np.broadcast_to(y, shape)
+    log_scale = np.broadcast_to(log_scale, shape[:-1])
+    # log of a bound on each step's growth of max(|x|, |y|); renormalizing
+    # before the next step could pass _RENORM_BUDGET keeps squares finite
+    growth = np.log1p(np.abs(a).max(axis=tuple(range(1, a.ndim)), initial=0.0))
+    growth = growth.tolist() + [0.0]
+    budget = 0.0
+    for n, an in enumerate(a):
+        if inverse:
+            x, y = y, an * y - x
+        else:
+            x, y = an * x - y, x
+        budget += growth[n]
+        if not renormalize:
+            if abs(y if inverse else x).max() > _OVERFLOW_GUARD:
+                raise NumericalError(f"transfer orbit overflows at step {n} "
+                                     "(|psi| > 1e250)")
+        elif ((n + 1) % RENORM_CADENCE == 0
+              or budget + growth[n + 1] > _RENORM_BUDGET):
+            fro = np.sqrt(np.sum(x * x + y * y, axis=-1, keepdims=True))
+            if not np.all(np.isfinite(fro) & (fro > 0.0)):
+                raise NumericalError(f"transfer norm not finite at step {n + 1}")
+            x, y = x / fro, y / fro
+            log_scale = log_scale + np.log(fro[..., 0])
+            budget = 0.0
+        yield x, y, log_scale
 
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
-    log_scale = 0.0
+
+def cocycle(a, x, y, inverse: bool = False, log_scale=0.0):
+    """The last state of cocycle_orbit (the start state if a is empty)."""
+    state = (x, y, log_scale)
+    for state in cocycle_orbit(a, x, y, inverse, log_scale):
+        pass
+    return state
+
+
+def _det_stream(a, inverse: bool) -> tuple[float, int]:
+    """log|det| and sign of a transfer product from its per-step Givens-QR
+    factors, which stay well conditioned when the product is hyperbolic."""
+    c, s = 1.0, 0.0  # the last Q factor, [[c, -s], [s, c]]
     det_logs = []
     det_sign = 1
-    count = 0
-    for idx in order:
-        a = energy - v_arr[idx]
+    for count, an in enumerate(a.tolist()):
         if inverse:
-            # T^{-1}(n) = [[0, 1], [-1, a]]
-            m00, m01, m10, m11 = m10, m11, -m00 + a * m10, -m01 + a * m11
-            a00, a10 = q10, -q00 + a * q10
-            a01, a11 = q11, -q01 + a * q11
+            a00, a10, a01, a11 = s, an * s - c, c, s + an * c
         else:
-            m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
-            a00, a10 = a * q00 - q10, q00
-            a01, a11 = a * q01 - q11, q01
+            a00, a10, a01, a11 = an * c - s, c, -(an * s) - c, -s
         r11 = math.hypot(a00, a10)
         if r11 == 0.0 or not math.isfinite(r11):
             raise NumericalError(f"transfer product degenerated at step {count}")
@@ -128,20 +154,30 @@ def transfer_product(source, energy: float, n_lo: int, n_hi: int,
         det_logs.append(math.log(r11) + math.log(abs(r22)))
         if r22 < 0.0:
             det_sign = -det_sign
-        q00, q01, q10, q11 = c, -s, s, c
-        count += 1
-        if count % RENORM_CADENCE == 0 or abs(m00) > _OVERFLOW_GUARD:
-            fro = math.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
-            if not (math.isfinite(fro) and fro > 0.0):
-                raise NumericalError(
-                    f"transfer norm not finite at step {count}")
-            m00, m01, m10, m11 = m00 / fro, m01 / fro, m10 / fro, m11 / fro
-            log_scale += math.log(fro)
+    return math.fsum(det_logs), det_sign
 
+
+def transfer_product(source, energy: float, n_lo: int, n_hi: int,
+                     inverse: bool = False) -> TransferProduct:
+    """Product of one-step matrices over the site interval [n_lo, n_hi].
+
+    Forward: T(n_hi)...T(n_lo).  Inverse: T^{-1}(n_lo)...T^{-1}(n_hi),
+    matching the left-half-line convention (most negative site leftmost).
+    """
+    if n_hi < n_lo:
+        raise InputError(f"empty site interval [{n_lo}, {n_hi}]")
+    energy = float(energy)
+    a = energy - _potential_segment(source, n_lo, n_hi)
+    if inverse:
+        a = a[::-1]
+    # the rows of the product are the states, its columns the group
+    x, y, log_scale = cocycle(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                              inverse)
+    det_log, det_sign = _det_stream(a, inverse)
     return TransferProduct(
         energy=energy, n_lo=n_lo, n_hi=n_hi, inverse=inverse,
-        matrix_scaled=np.array([[m00, m01], [m10, m11]]),
-        log_scale=log_scale, det_log=math.fsum(det_logs), det_sign=det_sign)
+        matrix_scaled=np.array([x, y]), log_scale=float(log_scale),
+        det_log=det_log, det_sign=det_sign)
 
 
 @dataclass(frozen=True)
@@ -167,11 +203,11 @@ def _theta_grid(theta_count: int, mode: str, seed) -> np.ndarray:
 def lyapunov_exponent(f: SamplingFunction, alpha, energy: float,
                       n_steps: int = 10_000, theta_count: int = 100,
                       theta_mode: str = "golden", seed=None) -> LyapunovEstimate:
-    """Phase-averaged finite-n Lyapunov estimate (1/n) log ||Phi_[0,n-1](E)||.
+    """Phase-averaged Lyapunov estimate (1/n) log ||Phi_[0,n-1](E) e1||.
 
-    The cocycle is iterated simultaneously over a theta grid (low-discrepancy
-    golden rotation by default, seeded i.i.d. draws as fallback), with the
-    cadence-32 norm renormalization.
+    The solution from e1 = (psi(0), psi(-1)) = (1, 0) grows like ||Phi||
+    in the limit, not at finite n.  The cocycle runs over a theta grid
+    (golden rotation by default, seeded i.i.d. draws as fallback).
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
@@ -179,26 +215,14 @@ def lyapunov_exponent(f: SamplingFunction, alpha, energy: float,
     alpha_f = float(alpha)
     energy = float(energy)
 
-    m00 = np.ones_like(thetas)
-    m01 = np.zeros_like(thetas)
-    m10 = np.zeros_like(thetas)
-    m11 = np.zeros_like(thetas)
-    acc = np.zeros_like(thetas)
-    for n in range(n_steps):
-        x = (thetas + n * alpha_f) % 1.0
-        a = energy - np.asarray(f(x), dtype=float)
-        m00, m01, m10, m11 = a * m00 - m10, a * m01 - m11, m00, m01
-        if (n + 1) % RENORM_CADENCE == 0:
-            fro = np.sqrt(m00 ** 2 + m01 ** 2 + m10 ** 2 + m11 ** 2)
-            m00, m01, m10, m11 = m00 / fro, m01 / fro, m10 / fro, m11 / fro
-            acc += np.log(fro)
-
-    aa = m00 ** 2 + m10 ** 2
-    bb = m01 ** 2 + m11 ** 2
-    cc = m00 * m01 + m10 * m11
-    sigma_sq = 0.5 * (aa + bb) + np.sqrt(np.maximum(
-        (0.5 * (aa - bb)) ** 2 + cc ** 2, 0.0))
-    per_theta = (acc + 0.5 * np.log(np.maximum(sigma_sq, 1e-300))) / n_steps
+    x, y, log_scale = np.ones((theta_count, 1)), np.zeros((theta_count, 1)), 0.0
+    # a = E - V(n) over (steps, phases), a block of steps at a time
+    for start in range(0, n_steps, _STEP_BLOCK):
+        n = np.arange(start, min(start + _STEP_BLOCK, n_steps))[:, None]
+        a = energy - np.asarray(f((thetas + n * alpha_f) % 1.0), dtype=float)
+        x, y, log_scale = cocycle(a[..., None], x, y, log_scale=log_scale)
+    norm_sq = x[:, 0] ** 2 + y[:, 0] ** 2
+    per_theta = (log_scale + 0.5 * np.log(np.maximum(norm_sq, 1e-300))) / n_steps
     gamma_hat = float(np.mean(per_theta))
     stderr = float(np.std(per_theta, ddof=1) / math.sqrt(theta_count)) \
         if theta_count > 1 else 0.0
@@ -258,13 +282,14 @@ def gordon_block_statistic(a_matrix, u=None) -> float:
 
 def transfer_difference(f: SamplingFunction, alpha, alpha_m: Fraction,
                         theta: float, energy: float, n_max: int | None = None,
-                        u=(1.0, 0.0)) -> float:
-    """max over product lengths 1..n_max of ||(Phi_alpha - Phi_alpha_m) u||,
-    both products taken over [0, length-1].
+                        u=(1.0, 0.0), backward: bool = False) -> float:
+    """max over lengths 1..n_max of ||(Phi_alpha - Phi_alpha_m) u||, the
+    gap between the solutions from u = (psi(0), psi(-1)) for alpha and its
+    rational approximant, over the sites 0..length-1 (backward: -1..-length).
 
-    alpha_m is the rational approximant; n_max defaults to twice its
-    denominator (the two-block range the Gordon argument inspects).
-    Raises NumericalError if the orbits overflow before n_max.
+    n_max defaults to twice the approximant's denominator (the two-block
+    range the Gordon argument inspects).  Raises NumericalError if the
+    orbits overflow before n_max.
     """
     if not isinstance(alpha_m, Fraction):
         raise InputError("alpha_m must be a Fraction approximant")
@@ -272,24 +297,11 @@ def transfer_difference(f: SamplingFunction, alpha, alpha_m: Fraction,
         n_max = 2 * alpha_m.denominator
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
-    sites = range(0, n_max)
-    v_true = np.asarray(f(_orbit_points(alpha, theta, sites)), dtype=float)
-    v_appr = np.asarray(f(_orbit_points(alpha_m, theta, sites)), dtype=float)
-    energy = float(energy)
-
-    v0, v1 = float(u[0]), float(u[1])
-    w0, w1 = v0, v1
-    best = 0.0
-    for n in range(n_max):
-        a = energy - v_true[n]
-        v0, v1 = a * v0 - v1, v0
-        b = energy - v_appr[n]
-        w0, w1 = b * w0 - w1, w0
-        if abs(v0) > _OVERFLOW_GUARD or abs(w0) > _OVERFLOW_GUARD:
-            raise NumericalError(
-                f"transfer orbits overflow at n = {n} (|psi| > 1e250); "
-                "reduce n_max or move the energy")
-        diff = math.hypot(v0 - w0, v1 - w1)
-        if diff > best:
-            best = diff
-    return best
+    sites = (-n_max, -1) if backward else (0, n_max - 1)
+    # the group's columns: the true and the approximant potential
+    v = np.stack([sample_potential(f, alpha, theta, *sites),
+                  sample_potential(f, alpha_m, theta, *sites)], axis=1)
+    a = float(energy) - (v[::-1] if backward else v)
+    orbit = cocycle_orbit(a, np.full(2, float(u[0])), np.full(2, float(u[1])),
+                          backward, renormalize=False)
+    return max(math.hypot(x[0] - x[1], y[0] - y[1]) for x, y, _ in orbit)

@@ -329,7 +329,14 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
             out[k] = np.abs(sol[rows0, 0]) ** 2 + np.abs(sol[rows1, 1]) ** 2
         return out
 
-    bound = op.norm_bound + 1.0
+    return _abel_energy_integral(integrand, op.norm_bound + 1.0, time_scale,
+                                 config)
+
+
+def _abel_energy_integral(integrand, bound: float, time_scale: float,
+                          config: EvolutionConfig):
+    """(1 / (pi T)) times the integral of integrand(E) over the real line:
+    adaptive panels on [-bound, bound] plus the two tails beyond it."""
     # enough initial panels that 1/T-wide features are seen by the coarse pass
     panels = int(min(512, max(8, math.ceil(2.0 * bound * time_scale / 16.0))))
     central = adaptive_integrate(integrand, -bound, bound,
@@ -337,13 +344,13 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
                                  initial_panels=panels)
     # the tails are a small correction; resolving them below the accuracy
     # already granted to the central part would chase rounding noise
-    floor = config.energy_rel_tol * max(float(np.max(central.value)), 1e-300)
+    floor = config.energy_rel_tol * max(
+        float(np.max(np.abs(central.value))), 1e-300)
     right = integrate_right_tail(integrand, bound, scale=2.0 * bound,
                                  rel_tol=config.energy_rel_tol, abs_tol=floor)
     left = integrate_left_tail(integrand, -bound, scale=2.0 * bound,
                                rel_tol=config.energy_rel_tol, abs_tol=floor)
-    total = central.value + left.value + right.value
-    return np.asarray(total) / (math.pi * time_scale)
+    return (central.value + left.value + right.value) / (math.pi * time_scale)
 
 
 def abel_probability_resolvent(source, displacement: int, time_scale: float,
@@ -450,17 +457,8 @@ def _floquet_value(model: PeriodicModel, displacement: int, time_scale: float,
                 abs(np.sum(c1 / denom)) ** 2
         return out
 
-    bound = model.norm_bound + 1.0
-    panels = int(min(512, max(8, math.ceil(2.0 * bound * time_scale / 16.0))))
-    central = adaptive_integrate(integrand, -bound, bound,
-                                 rel_tol=config.energy_rel_tol,
-                                 initial_panels=panels)
-    floor = config.energy_rel_tol * max(abs(central.value), 1e-300)
-    right = integrate_right_tail(integrand, bound, scale=2.0 * bound,
-                                 rel_tol=config.energy_rel_tol, abs_tol=floor)
-    left = integrate_left_tail(integrand, -bound, scale=2.0 * bound,
-                               rel_tol=config.energy_rel_tol, abs_tol=floor)
-    return (central.value + left.value + right.value) / (math.pi * time_scale)
+    return _abel_energy_integral(integrand, model.norm_bound + 1.0,
+                                 time_scale, config)
 
 
 @dataclass(frozen=True)

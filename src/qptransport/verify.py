@@ -25,21 +25,21 @@ from .errors import (DegeneratePointError, DepthLimitError, InputError,
                      NearDegenerateError, NumericalError, ThresholdError)
 from .floquet import (band_structure, derivative_sandwich, discriminant,
                       discriminant_derivative, eigenvalue_derivative,
-                      floquet_eigensystem, floquet_matrix, interior_window,
+                      fiber_eigensystems, floquet_eigensystem,
+                      floquet_matrix, interior_window,
                       measure_kappa_infimum, measure_uniform_lower_bound,
                       phi_derivative, phi_occupation_measure)
 from .operator import (Chain, FiniteOperator, PeriodicModel, finite_operator,
                        periodic_model, sample_potential)
 from .quadrature import adaptive_integrate
-from .transfer import (min_lyapunov_on_spectrum, lyapunov_exponent,
-                       transfer_difference, transfer_product)
+from .transfer import (cocycle_orbit, min_lyapunov_on_spectrum,
+                       lyapunov_exponent, transfer_difference,
+                       transfer_product)
 from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
                         abel_horizon, abel_probability_floquet,
                         abel_probability_time, abel_resolvent_profile,
                         amplitude, evolve, moments, probability_distribution,
                         subsequence_times, truncation_radius)
-
-_OVERFLOW_GUARD = 1e250
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,6 @@ def random_periodic_ensemble(count: int = 20, q_max: int = 8, seed: int = 0,
 
 FLOQUET_CHECKS = ("determinant", "derivative", "last", "sandwich", "weights",
                   "symmetry", "phi_bound", "chebyshev")
-
-
-def _fd_eigensystems(model, kappa, h):
-    lo = floquet_eigensystem(model, kappa - h)
-    hi = floquet_eigensystem(model, kappa + h)
-    return lo, hi
 
 
 def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
@@ -175,8 +169,8 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
                 except DegeneratePointError:
                     skipped["derivative"] += 1
                     continue
-                lo, hi = _fd_eigensystems(model, kap, h)
-                fd = (hi.eigenvalues[j - 1] - lo.eigenvalues[j - 1]) / (2 * h)
+                lams = fiber_eigensystems(model, [kap - h, kap + h])[0]
+                fd = (lams[1, j - 1] - lams[0, j - 1]) / (2 * h)
                 if abs(fd) < 1e-9:
                     skipped["derivative"] += 1
                     continue
@@ -192,8 +186,8 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
             for s in range(samples_per_model):
                 kap = float(kappas_open[s])
                 sys = floquet_eigensystem(model, kap)
-                lo_sys, hi_sys = _fd_eigensystems(model, kap, h) \
-                    if "sandwich" in checks else (None, None)
+                if "sandwich" in checks:
+                    fd_lams = fiber_eigensystems(model, [kap - h, kap + h])[0]
                 for j in range(1, q + 1):
                     band = bs.band(j)
                     width = band.width
@@ -214,8 +208,8 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
                     if "sandwich" in checks:
                         low, up = derivative_sandwich(model, kap, j,
                                                       width=width)
-                        fd = abs(hi_sys.eigenvalues[j - 1]
-                                 - lo_sys.eigenvalues[j - 1]) / (2 * h)
+                        fd = abs(fd_lams[1, j - 1]
+                                 - fd_lams[0, j - 1]) / (2 * h)
                         m = min(fd - low * (1.0 - 1e-6) + 1e-12,
                                 up * (1.0 + 1e-6) + 1e-12 - fd)
                         rows.append({"check": "sandwich", "model": idx,
@@ -240,11 +234,9 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
         if "symmetry" in checks:
             for s in range(samples_per_model):
                 kap = float(kappas_open[s])
-                sys = floquet_eigensystem(model, kap)
-                neg = floquet_eigensystem(model, -kap)
-                d_lam = float(np.max(np.abs(sys.eigenvalues
-                                            - neg.eigenvalues)))
-                d_phi = float(np.max(np.abs(sys.phi - neg.phi)))
+                lams, phis = fiber_eigensystems(model, [kap, -kap])
+                d_lam = float(np.max(np.abs(lams[0] - lams[1])))
+                d_phi = float(np.max(np.abs(phis[0] - phis[1])))
                 tol = 1e-10 * max(1.0, bound)
                 m = tol - max(d_lam, d_phi)
                 rows.append({"check": "symmetry", "model": idx, "q": q,
@@ -263,8 +255,8 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
                 except NearDegenerateError:
                     skipped["phi_bound"] += 1
                     continue
-                lo_sys, hi_sys = _fd_eigensystems(model, kap, h)
-                fd = (hi_sys.phi[j - 1] - lo_sys.phi[j - 1]) / (2 * h)
+                phis = fiber_eigensystems(model, [kap - h, kap + h])[1]
+                fd = (phis[1, j - 1] - phis[0, j - 1]) / (2 * h)
                 width = bs.band(j).width
                 bound_pt = 8.0 * math.e * q * q \
                     / (width * (1.0 - abs(math.cos(q * kap))))
@@ -437,15 +429,12 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
                          "ok": bool(rel > 0.0)})
 
     if "ballistic" in checks:
-        sources = [("free", None)] + [(f"model{i}", m)
-                                      for i, m in enumerate(models)]
+        sources = [("free", PeriodicModel.from_potential([0.0]))] + \
+            [(f"model{i}", m) for i, m in enumerate(models)]
         for t in (2.0, 5.0, 10.0):
             radius = int(math.ceil(4.0 * t)) + 60
             for name, model in sources:
-                if model is None:
-                    op = FiniteOperator(np.zeros(2 * radius + 1), radius)
-                else:
-                    op = finite_operator(model, radius)
+                op = finite_operator(model, radius)
                 psi = np.abs(evolve(op, [t])[0])
                 sites = np.arange(-radius, radius + 1)
                 mask = np.abs(sites) > 4.0 * t
@@ -457,12 +446,9 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
                              "ok": bool(rel > 0.0)})
 
     if "moments" in checks:
-        free10 = FiniteOperator(
-            np.zeros(2 * truncation_radius(10.0, 1, config) + 1),
-            truncation_radius(10.0, 1, config))
-        free20 = FiniteOperator(
-            np.zeros(2 * truncation_radius(20.0, 1, config) + 1),
-            truncation_radius(20.0, 1, config))
+        free10, free20 = (finite_operator(PeriodicModel.from_potential([0.0]),
+                                          truncation_radius(t, 1, config))
+                          for t in (10.0, 20.0))
         m10 = moments(free10, 10.0, orders=(2,), config=config).moment(2)
         m20 = moments(free20, 20.0, orders=(2,), config=config).moment(2)
         ratio = m20 / m10
@@ -782,16 +768,11 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
                 f"bandwidth underflow at depth {m} (q = {qm}): smallest "
                 f"band {float(np.min(widths)):.3g}", achieved_depth=done)
         steps = int(n_steps) if n_steps is not None else qm
-        best = None
-        for j in range(1, qm + 1):
-            center = bs.band(j).center
-            gam = lyapunov_exponent(f, alpha_float, center, n_steps=steps,
-                                    theta_count=theta_count,
-                                    seed=seed).gamma_hat
-            val = math.log(widths[j - 1]) / qm + gam
-            if best is None or val < best[0]:
-                best = (val, j, gam)
-        val, j, gam = best
+        gams = [lyapunov_exponent(f, alpha_float, center, n_steps=steps,
+                                  theta_count=theta_count, seed=seed).gamma_hat
+                for center in bs.centers]
+        val, j, gam = min((math.log(w) / qm + g, j, g) for j, (w, g)
+                          in enumerate(zip(widths, gams), start=1))
         rows.append({"check": "minimum", "depth": m, "q": qm,
                      "min_value": val, "band": j, "gamma_hat": gam,
                      "width": float(widths[j - 1]),
@@ -822,51 +803,17 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
 # Gordon diagnostic
 # ---------------------------------------------------------------------------
 
-def _backward_difference(f, alpha, alpha_m, theta, energy, n_max, u):
-    """max over 1..n_max of the applied-vector gap between the true and
-    approximant solutions run leftward from (psi(0), psi(-1)) = u."""
-    # values at sites -1, -2, ..., -n_max in the order the recursion eats them
-    v_true = sample_potential(f, alpha, theta, -n_max, -1)[::-1]
-    v_appr = sample_potential(f, alpha_m, theta, -n_max, -1)[::-1]
-    v1, v0 = float(u[0]), float(u[1])   # (psi(0), psi(-1))
-    w1, w0 = v1, v0
-    best = 0.0
-    for k in range(n_max):
-        a = energy - v_true[k]
-        v1, v0 = v0, a * v0 - v1        # psi(m-1) = (E - V(m)) psi(m) - psi(m+1)
-        b = energy - v_appr[k]
-        w1, w0 = w0, b * w0 - w1
-        if abs(v0) > _OVERFLOW_GUARD or abs(w0) > _OVERFLOW_GUARD:
-            raise NumericalError(
-                f"backward orbits overflow at step {k} (|psi| > 1e250)")
-        diff = math.hypot(v1 - w1, v0 - w0)
-        if diff > best:
-            best = diff
-    return best
-
-
 def _quasi_block_statistic(f, alpha, theta, energy, q, u):
     """max over the four double-period block values of the true orbit:
     forward/backward solutions sampled at one and two periods."""
+    u = np.asarray(u, dtype=float)
     vals = []
-    v_fwd = sample_potential(f, alpha, theta, 0, 2 * q - 1)
-    p1, p0 = float(u[0]), float(u[1])   # (psi(n), psi(n-1)) at n = 0
-    for n in range(2 * q):
-        a = energy - v_fwd[n]
-        p1, p0 = a * p1 - p0, p1
-        if abs(p1) > _OVERFLOW_GUARD:
-            raise NumericalError(f"forward orbit overflow at n = {n}")
-        if n + 1 in (q, 2 * q):
-            vals.append(math.hypot(p1, p0))
-    v_bwd = sample_potential(f, alpha, theta, -2 * q, -1)[::-1]
-    p1, p0 = float(u[0]), float(u[1])
-    for k in range(2 * q):
-        a = energy - v_bwd[k]
-        p1, p0 = p0, a * p0 - p1
-        if abs(p0) > _OVERFLOW_GUARD:
-            raise NumericalError(f"backward orbit overflow at step {k}")
-        if k + 1 in (q, 2 * q):
-            vals.append(math.hypot(p1, p0))
+    for backward, sites in ((False, (0, 2 * q - 1)), (True, (-2 * q, -1))):
+        v = sample_potential(f, alpha, theta, *sites)
+        orbit = cocycle_orbit(energy - (v[::-1] if backward else v),
+                              u[:1], u[1:], backward, renormalize=False)
+        vals += [math.hypot(x[0], y[0])
+                 for n, (x, y, _) in enumerate(orbit, 1) if n % q == 0]
     return max(vals)
 
 
@@ -924,8 +871,8 @@ def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
         try:
             d_fwd = transfer_difference(f, alpha, am, theta, energy,
                                         n_max=2 * qm, u=u_arr)
-            d_bwd = _backward_difference(f, alpha, am, theta, energy,
-                                         2 * qm, u_arr)
+            d_bwd = transfer_difference(f, alpha, am, theta, energy,
+                                        n_max=2 * qm, u=u_arr, backward=True)
             quasi = _quasi_block_statistic(f, alpha, theta, energy, qm,
                                            u_arr)
             block = transfer_product(Chain(f, am, theta), energy, 0, qm - 1)
@@ -1062,24 +1009,20 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
                                          theta_count=probe_thetas)
         return m, model, bs, probe
 
-    freq = build(beta_target)
-    probe_m, probe_model, probe_bs, probe = probe_at(freq)
-    gamma_raw = probe.gamma
-    gamma0 = max(gamma_raw, 1e-4)
-    e0 = probe.energy
-    eps_prime = (beta_target * delta / 3.0 - gamma0) / 2.0
     bumped = False
-    if eps_prime <= 1e-3:
-        # the default growth target leaves no slack above 3 gamma0 / delta;
-        # raise it so the schedule threshold sits just under beta_hat
-        beta_target = 3.0 * (gamma0 + 0.05) / delta
-        bumped = True
+    while True:
         freq = build(beta_target)
         probe_m, probe_model, probe_bs, probe = probe_at(freq)
         gamma_raw = probe.gamma
         gamma0 = max(gamma_raw, 1e-4)
         e0 = probe.energy
         eps_prime = (beta_target * delta / 3.0 - gamma0) / 2.0
+        if bumped or eps_prime > 1e-3:
+            break
+        # the default growth target leaves no slack above 3 gamma0 / delta;
+        # raise it so the schedule threshold sits just under beta_hat
+        beta_target = 3.0 * (gamma0 + 0.05) / delta
+        bumped = True
 
     neigh = 0.25
     widths = [probe_bs.band(j).width for j in range(1, probe_model.q + 1)

@@ -97,6 +97,59 @@ class TestExitCodes:
         code = main(["moments", "--config", str(tmp_path / "none.ini")])
         assert code == 2
 
+    @pytest.mark.parametrize("ini_text", ["lam = 2\n", "[run]\nout = run%1\n"],
+                             ids=["no-section-header", "bad-interpolation"])
+    def test_malformed_config_file(self, tmp_path, capsys, ini_text):
+        ini = tmp_path / "f.ini"
+        ini.write_text(ini_text)
+        assert main(["moments", "--config", str(ini)]) == 2
+        assert str(ini) in capsys.readouterr().err
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["--from-manifest", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_manifest_not_json(self, tmp_path, capsys):
+        bogus = tmp_path / "x.json"
+        bogus.write_text("{not json")
+        assert main(["--from-manifest", str(bogus)]) == 2
+        assert str(bogus) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["command", "config"])
+    def test_manifest_without_command_or_config(self, tmp_path, capsys,
+                                                drop):
+        first = tmp_path / "first"
+        assert main(["freq", "--rational", "3/8", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest[drop]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(manifest))
+        assert main(["--from-manifest", str(broken),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert str(broken) in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--command", "lyapunov", "--thetas", "0,0.5"],
+        ["measure", "--freq", "8/13"],
+        ["bands", "--freq", "0.618"],
+    ], ids=["sweep-ignored-axis", "measure-no-interval", "bands-irrational"])
+    def test_usage_error_in_runner_leaves_no_directory(self, tmp_path,
+                                                       capsys, argv):
+        out = tmp_path / "new" / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_usage_error_leaves_no_default_directory(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QPT_OUT", raising=False)
+        assert main(["sweep", "--command", "lyapunov",
+                     "--thetas", "0,0.5"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_clean_suite_exits_zero(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from qptransport.floquet import (
     discriminant_derivative,
     eigenvalue_derivative,
     expected_derivative_sign,
+    fiber_eigensystems,
     floquet_eigensystem,
     floquet_matrix,
     interior_window,
@@ -341,3 +342,41 @@ def test_band_dataclass_properties():
     assert b.center == 0.5
     assert b.intersects(1.9, 5.0)
     assert not b.intersects(2.5, 5.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_fiber_eigensystems_match_per_kappa_solves(q, seed, count):
+    # the stacked solve against one floquet_eigensystem per kappa, bit for bit
+    model = random_model(q, rng=np.random.default_rng(seed))
+    kappas = np.random.default_rng(seed + 1).uniform(0.0, math.pi / q, count)
+    lams, phi = fiber_eigensystems(model, kappas)
+    singles = [floquet_eigensystem(model, k) for k in kappas]
+    assert np.array_equal(lams, [s.eigenvalues for s in singles])
+    if q >= 2:
+        assert np.array_equal(phi, [s.phi for s in singles])
+    else:
+        assert np.array_equal(phi, np.full((count, 1), 2.0))
+
+
+def test_fiber_eigensystems_blocks_large_periods():
+    # q = 300 puts one kappa in each eigh block
+    model = random_model(300, rng=np.random.default_rng(3))
+    kappas = [0.0, 0.004, 0.01]
+    lams, phi = fiber_eigensystems(model, kappas)
+    for k, lam, weights in zip(kappas, lams, phi):
+        one = floquet_eigensystem(model, k)
+        assert np.array_equal(lam, one.eigenvalues)
+        assert np.array_equal(weights, one.phi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=12))
+def test_discriminant_vectorized_matches_scalar_calls(q, seed, energies):
+    model = random_model(q, rng=np.random.default_rng(seed))
+    batch = discriminant(model, np.array(energies))
+    assert batch.shape == (len(energies),)
+    assert batch.tolist() == [discriminant(model, e) for e in energies]
+    grid = discriminant(model, np.array(energies)[:, None] * [1.0, 0.5])
+    assert grid.shape == (len(energies), 2)

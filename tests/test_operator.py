@@ -18,8 +18,13 @@ from qptransport.operator import (
     finite_operator,
     periodic_model,
     sample_potential,
-    torus_distance,
 )
+
+
+def torus_distance(x, y):
+    """dist(x, y) on R/Z: min over integers k of |x - y + k|."""
+    d = abs((float(x) - float(y)) % 1.0)
+    return min(d, 1.0 - d)
 
 
 def test_amo_values():

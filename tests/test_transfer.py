@@ -12,8 +12,10 @@ from qptransport.errors import InputError, NumericalError
 from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
                                   ZeroSampling, periodic_model)
 from qptransport.floquet import band_structure
-from qptransport.transfer import (GOLDEN_MEAN, LyapunovEstimate,
-                                  TransferProduct, gordon_block_statistic,
+from qptransport.transfer import (GOLDEN_MEAN, RENORM_CADENCE,
+                                  LyapunovEstimate, TransferProduct,
+                                  cocycle, cocycle_orbit,
+                                  gordon_block_statistic,
                                   lyapunov_exponent,
                                   min_lyapunov_on_spectrum, transfer_difference,
                                   transfer_product)
@@ -27,6 +29,84 @@ def recurrence_solution(v, energy, psi0, psi_m1):
     for vn in v:
         prev, cur = cur, (energy - vn) * cur - prev
     return cur, prev  # (psi(n+1), psi(n)) after consuming v = V(0..n)
+
+
+def backward_recurrence_solution(v, energy, psi1, psi0):
+    """psi(n-1) = (E - V(n)) psi(n) - psi(n+1), consuming v = V(n), V(n-1), ..."""
+    nxt, cur = psi1, psi0
+    for vn in v:
+        nxt, cur = cur, (energy - vn) * cur - nxt
+    return nxt, cur
+
+
+class TestCocycle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+           st.booleans())
+    def test_matches_scalar_recurrence(self, length, seed, energies,
+                                       inverse):
+        # lengths past RENORM_CADENCE exercise the renormalization
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-3.0, 3.0, length)
+        start = rng.uniform(-1.0, 1.0, 2)
+        energies = np.array(energies)
+        a = energies[None, :, None] - v[:, None, None]
+        x, y, log_scale = cocycle(a, start[0], start[1], inverse)
+        assert x.shape == (len(energies), 1)
+        oracle = backward_recurrence_solution if inverse \
+            else recurrence_solution
+        for k, e in enumerate(energies):
+            want = oracle(v, e, start[0], start[1])
+            got = np.exp(log_scale[k]) * np.array([x[k, 0], y[k, 0]])
+            np.testing.assert_allclose(got, want, rtol=1e-10,
+                                       atol=1e-10 * max(map(abs, want)))
+
+    def test_orbit_yields_every_step_and_renormalizes_on_cadence(self):
+        v = np.full(3 * RENORM_CADENCE, -1.0)
+        states = list(cocycle_orbit(2.0 - v, 1.0, 0.0))
+        assert len(states) == 3 * RENORM_CADENCE
+        assert states[0][0].shape == (1,)
+        scales = [float(s) for _, _, s in states]
+        assert scales[RENORM_CADENCE - 2] == 0.0
+        assert scales[RENORM_CADENCE - 1] > 0.0
+        for n in (5, RENORM_CADENCE + 7, len(v) - 1):
+            x, y, s = states[n]
+            want = recurrence_solution(v[:n + 1], 2.0, 1.0, 0.0)
+            np.testing.assert_allclose(np.exp(s) * np.array([x[0], y[0]]),
+                                       want, rtol=1e-12)
+
+    def test_groups_share_one_scale(self):
+        # two columns of one product are scaled together, so their ratio
+        # survives renormalization exactly as the unscaled recurrence has it
+        v = np.linspace(-1.0, 1.0, 70)
+        x, y, s = cocycle(0.3 - v, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert np.shape(s) == ()
+        dense = np.eye(2)
+        for vn in v:
+            dense = np.array([[0.3 - vn, -1.0], [1.0, 0.0]]) @ dense
+        np.testing.assert_allclose(np.exp(s) * np.array([x, y]), dense,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("energy", [1e12, 1e60, 1e150])
+    def test_large_energies_renormalize_before_overflow(self, energy):
+        x, y, s = cocycle(np.full(40, energy), 1.0, 0.0)
+        assert np.isfinite(x[0]) and np.isfinite(y[0])
+        assert float(s) + math.log(abs(x[0])) == \
+            pytest.approx(40 * math.log(energy), rel=1e-12)
+
+    def test_unrenormalized_states_stay_unscaled(self):
+        v = np.full(RENORM_CADENCE + 3, 0.5)
+        *_, (x, y, s) = cocycle_orbit(3.0 - v, 1.0, 0.0, renormalize=False)
+        assert s == 0.0
+        assert (x[0], y[0]) == recurrence_solution(v, 3.0, 1.0, 0.0)
+
+    def test_unrenormalized_orbit_stops_at_overflow_guard(self):
+        # growth ((10 + sqrt 96) / 2)^n passes 1e250 at step 251
+        with pytest.raises(NumericalError, match="step 251"):
+            for _ in cocycle_orbit(np.full(600, 10.0), 1.0, 0.0,
+                                   renormalize=False):
+                pass
 
 
 class TestTransferProduct:
@@ -74,6 +154,13 @@ class TestTransferProduct:
         assert tp.det_sign == 1
         # growth rate of the supercritical cocycle is log(coupling)
         assert tp.log_norm / tp.length == pytest.approx(math.log(2.0), rel=0.01)
+
+    def test_large_energy_product(self):
+        # the cadence alone would let a 32-step block pass 1e308 here
+        tp = transfer_product(np.zeros(300), 1e30, 0, 299)
+        assert tp.log_norm / tp.length == pytest.approx(math.log(1e30),
+                                                        rel=1e-12)
+        assert abs(tp.det_log) < 1e-10 and tp.det_sign == 1
 
     def test_matrix_overflow_raises(self):
         chain = Chain(AmoSampling(2.0), GOLDEN, 0.1)
@@ -234,6 +321,25 @@ class TestTransferDifference:
         with pytest.raises(NumericalError):
             transfer_difference(ZeroSampling(), GOLDEN, Fraction(5, 8),
                                 0.0, 10.0, n_max=600)
+
+    def test_backward_exact_approximant_gives_zero(self):
+        d = transfer_difference(AmoSampling(0.5), Fraction(5, 8),
+                                Fraction(5, 8), 0.0, 0.3, backward=True)
+        assert d == 0.0
+
+    def test_backward_matches_recurrence_oracle(self):
+        f = AmoSampling(0.5)
+        am = Fraction(5, 8)
+        sites = np.arange(-1, -17, -1)
+        v_true = f((0.2 + sites * GOLDEN) % 1.0)
+        v_appr = f((0.2 + sites * 5 / 8) % 1.0)
+        want = max(math.hypot(*np.subtract(
+            backward_recurrence_solution(v_true[:n], 0.1, 0.6, 0.8),
+            backward_recurrence_solution(v_appr[:n], 0.1, 0.6, 0.8)))
+                   for n in range(1, 17))
+        got = transfer_difference(f, GOLDEN, am, 0.2, 0.1, u=(0.6, 0.8),
+                                  backward=True)
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_requires_fraction_approximant(self):
         with pytest.raises(InputError):
