@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from qptransport.arithmetic import (construct_liouville_frequency,
                                     continued_fraction_expansion)
@@ -32,6 +34,67 @@ def bessel_abel_oracle(displacement, time_scale):
     upper = 0.5 * time_scale * math.log(4e12)
     val, _ = scipy.integrate.quad(igr, 0.0, upper, limit=400)
     return 2.0 * (2.0 / time_scale) * val
+
+
+def free_legendre_oracle(displacement, time_scale):
+    """Closed form of P(n; T) on the free lattice:
+    (2/(pi T)) Q_(|n|-1/2)(1 + 1/(2 T^2))."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(time_scale)
+        q = mpmath.legenq(abs(displacement) - mpmath.mpf(1) / 2, 0,
+                          1 + 1 / (2 * t * t), type=3)
+        return float(mpmath.re(2 / (mpmath.pi * t) * q))
+
+
+def dense_lorentz_form(lams, coeffs, time_scale):
+    """Oracle for tr._lorentz_form: every one of the N^2 kernel entries,
+    built in row chunks, summed against each real coefficient column."""
+    a2 = (2.0 / time_scale) ** 2
+    c = np.asarray(coeffs, dtype=float).reshape(lams.size, -1)
+    total = 0.0
+    n = lams.size
+    chunk = max(1, int(4e6) // max(1, n))
+    for lo in range(0, n, chunk):
+        d = lams[lo:lo + chunk, None] - lams[None, :]
+        kern = a2 / (d * d + a2)
+        total += float(np.sum(c[lo:lo + chunk] * (kern @ c)))
+    return total
+
+
+@st.composite
+def lorentz_inputs(draw):
+    """Eigenvalue sets the Floquet and time routes produce, and harder:
+    clustered narrow bands, exact pairs lambda(kappa) = lambda(-kappa), all
+    values equal (blocks of zero width), sizes around one block."""
+    kind = draw(st.sampled_from(["bands", "ties", "equal", "spread"]))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    time_scale = 10.0 ** draw(st.floats(0.0, 7.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "bands":
+        count = int(rng.integers(1, 14))
+        centers = rng.uniform(-3.0, 3.0, count)
+        widths = 10.0 ** rng.uniform(-8.0, -1.0, count)
+        band = rng.integers(0, count, n)
+        lams = centers[band] + widths[band] * np.cos(rng.uniform(0, np.pi, n))
+    elif kind == "ties":
+        half = rng.uniform(-2.0, 2.0, n // 2 + 1)
+        lams = rng.permutation(np.concatenate([half, half])[:n])
+    elif kind == "equal":
+        lams = np.full(n, rng.uniform(-3.0, 3.0))
+    else:
+        lams = rng.uniform(-3.0, 3.0, n)
+    coeffs = rng.standard_normal((n, draw(st.integers(1, 4)))) / n
+    return lams, coeffs, time_scale
+
+
+@given(lorentz_inputs())
+@settings(max_examples=80, deadline=None)
+def test_fast_lorentz_form_matches_dense_sum(inputs):
+    lams, coeffs, time_scale = inputs
+    fast = tr._lorentz_form(lams, coeffs, time_scale)
+    dense = dense_lorentz_form(lams, coeffs, time_scale)
+    scale = dense_lorentz_form(lams, np.abs(coeffs), time_scale)
+    assert abs(fast - dense) <= 1e-12 * scale
 
 
 class TestRadii:
@@ -210,6 +273,31 @@ class TestFloquetRoute:
         p = tr.abel_probability_floquet(model, 13, 3.6e4, route="kernel")
         assert 0.0 < p < 2.0
 
+    def test_kernel_route_is_the_dense_pair_sum(self):
+        model = periodic_model(AmoSampling(1.5), Fraction(3, 5), 0.1)
+        lams, coeffs = tr._bloch_data(model, 128, 5)
+        dense = sum(dense_lorentz_form(lams.ravel(), part(coeffs[i].ravel()),
+                                       8403.0)
+                    for i in (0, 1) for part in (np.real, np.imag))
+        fast = tr.abel_probability_floquet(model, 5, 8403.0, route="kernel",
+                                           kappa_points=128)
+        assert fast == pytest.approx(dense, rel=1e-12)
+
+    def test_time_route_is_the_dense_pair_sum(self):
+        op = finite_operator(Chain(AmoSampling(2.0), GOLDEN, 0.3), 60)
+        w, u = op.eigensystem()
+        dense = sum(dense_lorentz_form(w, u[op.site_index(3 + i), :]
+                                       * u[op.site_index(i), :], 40.0)
+                    for i in (0, 1))
+        fast = tr.abel_probability_time(op, 3, 40.0)
+        assert fast == pytest.approx(dense, rel=1e-12)
+
+    def test_wide_bands_converge_within_the_grid_cap(self):
+        # the free period-2 lattice needs 65,536 kappa points at T = 8403
+        model = PeriodicModel.from_potential([0.0, 0.0])
+        p = tr.abel_probability_floquet(model, 6, 8403.0)
+        assert p == pytest.approx(free_legendre_oracle(6, 8403.0), rel=1e-6)
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             tr.abel_probability_floquet(FREE_CHAIN, 0, 5.0)
@@ -217,6 +305,8 @@ class TestFloquetRoute:
             tr.abel_probability_floquet(self.MODEL, 0, 5.0, route="magic")
         with pytest.raises(InputError):
             tr.abel_probability_floquet(self.MODEL, 0, -1.0)
+        with pytest.raises(InputError):
+            tr.abel_probability_floquet(self.MODEL, 0, 5.0, kappa_points=0)
 
 
 class TestSubsequenceTimes:
