@@ -57,9 +57,7 @@ from .transport import (  # noqa: F401
     abel_probability_resolvent,
     abel_probability_time,
     abel_resolvent_profile,
-    amplitude,
     evolve,
-    free_lattice_amplitude,
     moments,
     probability_distribution,
     subsequence_times,

@@ -29,6 +29,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -438,6 +439,11 @@ POINT_AXES = {"moments": ("lam", "theta", "time", "depth"),
               "lyapunov": ("lam", "energy", "depth")}
 
 
+def _failed_point(task: dict, exc: BaseException) -> dict:
+    return {"index": task["index"], "ok": False,
+            "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _sweep_eval(task: dict) -> dict:
     """One grid point, executed in a worker process."""
     try:
@@ -470,8 +476,16 @@ def _sweep_eval(task: dict) -> dict:
         return {"index": task["index"], "ok": True, "values": values}
     except (QptError, UsageError, FloatingPointError, np.linalg.LinAlgError,
             MemoryError) as exc:
-        return {"index": task["index"], "ok": False,
-                "error": f"{type(exc).__name__}: {exc}"}
+        return _failed_point(task, exc)
+
+
+def _pooled_result(future, task: dict) -> dict:
+    """A pooled point's result; a point whose worker died (and every point
+    still queued on the broken pool) is recorded as failed."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return _failed_point(task, exc)
 
 
 def _run_sweep(cfg: dict, out: Path):
@@ -494,7 +508,8 @@ def _run_sweep(cfg: dict, out: Path):
     jobs = cfg["jobs"]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_eval, tasks))
+            futures = [pool.submit(_sweep_eval, t) for t in tasks]
+            results = [_pooled_result(f, t) for f, t in zip(futures, tasks)]
     else:
         results = [_sweep_eval(t) for t in tasks]
 

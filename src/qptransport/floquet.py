@@ -299,22 +299,6 @@ def phi_derivative(model: PeriodicModel, kappa: float, j: int) -> float:
                  + 2.0 * (psi[1].conjugate() * psi_dot[1]).real)
 
 
-def phi_derivative_edge_bound(model: PeriodicModel, j: int,
-                              width: float | None = None) -> float:
-    """Bound C3 q^4 / width on |phi_j'| over the interior window.
-
-    This is 8e q^2 / (width * (1 - |cos(q kappa)|)) evaluated at the window
-    edge kappa = pi/(16 q^2), where the bound is largest.
-    """
-    q = model.q
-    if width is None:
-        width = band_structure(model).bands[j - 1].width
-    if width <= 0:
-        raise InputError("band width must be positive")
-    kappa_edge = math.pi / (16.0 * q * q)
-    return 8.0 * math.e * q * q / (width * (1.0 - abs(math.cos(q * kappa_edge))))
-
-
 def interior_window(q: int) -> tuple[float, float]:
     """The kappa window [pi/(16 q^2), pi/q - pi/(16 q^2)]."""
     edge = math.pi / (16.0 * q * q)

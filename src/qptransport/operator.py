@@ -252,6 +252,21 @@ class FiniteOperator:
             self._eig = (w, u)
         return self._eig
 
+    def resolvent(self, z: complex, sources=(0,)) -> np.ndarray:
+        """Columns G(., s; z) = (H - z)^(-1) delta_s, one per source site s,
+        from one banded solve."""
+        diag, off = self.tridiagonal()
+        ab = np.zeros((3, self.dimension), dtype=complex)
+        ab[0, 1:] = off
+        ab[2, :-1] = off
+        ab[1, :] = diag - z
+        rhs = np.zeros((self.dimension, len(sources)), dtype=complex)
+        for k, s in enumerate(sources):
+            rhs[self.site_index(s), k] = 1.0
+        # both arrays are built per call, so the solver may work in place
+        return scipy.linalg.solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                                         overwrite_b=True, check_finite=False)
+
 
 def finite_operator(source, N: int) -> FiniteOperator:
     """Restrict a Chain or PeriodicModel to [-N, N] with Dirichlet cutoff."""

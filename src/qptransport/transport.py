@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .arithmetic import Frequency
 from .errors import InputError, NumericalError, TruncationError
@@ -61,10 +59,18 @@ class EvolutionConfig:
 DEFAULT_CONFIG = EvolutionConfig()
 
 
+def _check_time_scale(time_scale) -> float:
+    """The Abel time scale T as a float; InputError unless finite and > 0."""
+    t = float(time_scale)
+    if not (math.isfinite(t) and t > 0):
+        raise InputError(
+            f"time scale must be finite and positive, got {time_scale}")
+    return t
+
+
 def abel_horizon(time_scale: float, tail_tolerance: float = 1e-6) -> float:
     """Time t* past which the Abel weight mass is below tail_tolerance."""
-    if time_scale <= 0:
-        raise InputError(f"time scale must be positive, got {time_scale}")
+    time_scale = _check_time_scale(time_scale)
     if not 0 < tail_tolerance < 1:
         raise InputError(f"tail tolerance must be in (0,1), got {tail_tolerance}")
     return 0.5 * time_scale * math.log(4.0 / tail_tolerance)
@@ -80,14 +86,6 @@ def truncation_radius(time_scale: float, n_extent: int = 1,
     return int(math.ceil(inner)) + int(abs(n_extent))
 
 
-def free_lattice_amplitude(displacement: int, times) -> np.ndarray:
-    """<delta_n, e^(-itH) delta_0> for the zero-potential chain:
-    (-i)^|n| J_|n|(2t)."""
-    n = abs(int(displacement))
-    t = np.asarray(times, dtype=float)
-    return (-1j) ** n * scipy.special.jv(n, 2.0 * t)
-
-
 def _as_finite(source, radius: int | None, time_scale: float,
                n_extent: int, config: EvolutionConfig) -> FiniteOperator:
     if isinstance(source, FiniteOperator):
@@ -101,40 +99,32 @@ def _as_finite(source, radius: int | None, time_scale: float,
         "pass a Chain, PeriodicModel, or FiniteOperator")
 
 
-def evolve(op: FiniteOperator, times, source: int = 0) -> np.ndarray:
-    """Wavefunctions e^(-itH) delta_source, one row per time."""
+def evolve(op: FiniteOperator, times, source: int = 0,
+           sites=None) -> np.ndarray:
+    """Amplitudes <delta_n, e^(-itH) delta_source> on the truncated lattice,
+    one row per time and one column per site n of sites (every site, in
+    lattice order, when sites is None); only those eigenvector rows are
+    contracted."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
     w, u = op.eigensystem()
+    rows = u if sites is None else u[[op.site_index(n) for n in sites]]
     coeff = u[op.site_index(source), :]
-    out = np.empty((t.size, op.dimension), dtype=complex)
+    out = np.empty((t.size, rows.shape[0]), dtype=complex)
     chunk = max(1, int(2e7) // op.dimension)
     for lo in range(0, t.size, chunk):
         hi = min(lo + chunk, t.size)
         phases = np.exp(-1j * np.outer(t[lo:hi], w)) * coeff[None, :]
-        out[lo:hi] = phases @ u.T
-    return out
-
-
-def amplitude(op: FiniteOperator, n_from: int, n_to: int, times) -> np.ndarray:
-    """<delta_(n_to), e^(-itH) delta_(n_from)> on the truncated lattice."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    w, u = op.eigensystem()
-    c = u[op.site_index(n_to), :] * u[op.site_index(n_from), :]
-    out = np.empty(t.size, dtype=complex)
-    chunk = max(1, int(2e7) // max(1, w.size))
-    for lo in range(0, t.size, chunk):
-        hi = min(lo + chunk, t.size)
-        out[lo:hi] = np.exp(-1j * np.outer(t[lo:hi], w)) @ c
+        out[lo:hi] = phases @ rows.T
     return out
 
 
 def boundary_mass(op: FiniteOperator, time: float, source: int = 0,
                   width: int = 8) -> float:
-    """Probability mass on the outermost width sites of each edge at time t."""
-    psi = evolve(op, [float(time)], source)[0]
-    prob = np.abs(psi) ** 2
+    """Probability mass on the outermost width sites of each edge at time t
+    (a site in both edges, when dimension < 2 width, counts twice)."""
     width = min(width, op.dimension)
-    return float(np.sum(prob[:width]) + np.sum(prob[-width:]))
+    edges = [*range(-op.N, width - op.N), *range(op.N + 1 - width, op.N + 1)]
+    return float(np.sum(np.abs(evolve(op, [time], source, edges)) ** 2))
 
 
 def _check_truncation(op: FiniteOperator, time_scale: float,
@@ -175,8 +165,12 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
     Chebyshev nodes per block errs by about rho^-p ~ 5e-16 relative to the
     kernel there.  Admissible pairs are summed through the kernel on the
     nodes and the blocks' Chebyshev moments, the others directly; with one
-    block this is the direct sum.  The error stays near 1e-15 of
-    ||c||_1^2 (tests/test_transport.py compares it with the dense sum).
+    block this is the direct sum.  Positions inside a block are measured
+    from its first eigenvalue, so kernel arguments are built from exact
+    differences of eigenvalues and small offsets, never from node positions
+    rounded to ulp(lambda), which is not small against a at large T
+    (a = 2e-7 at T = 1e7).  The error stays near 1e-15 of ||c||_1^2
+    (tests/test_transport.py compares it with the dense sum).
     """
     a2 = (2.0 / time_scale) ** 2
     p = _CHEB_ORDER
@@ -202,17 +196,19 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
         near = np.einsum('pkc,pkc->p', c[i], (a2 / (d * d + a2)) @ c[j])
         total += float(weight[s:s + step] @ near)
 
-    half, mid = 0.5 * width, 0.5 * (x[:, -1] + x[:, 0])
-    u = (x - mid[:, None]) / np.where(half > 0, half, 1.0)[:, None]
+    half, start = 0.5 * width, x[:, 0]
+    u = ((x - start[:, None]) - half[:, None]) \
+        / np.where(half > 0, half, 1.0)[:, None]
     basis = np.cos(np.arange(p) * np.arccos(np.clip(u, -1.0, 1.0))[..., None])
     moments = np.einsum('jka,jkc->jac', basis @ _CHEB_WEIGHTS, c)
     moments = moments.reshape(nblk * p, -1)
-    nodes = (mid[:, None] + half[:, None] * _CHEB_NODES).ravel()
+    offs = half[:, None] * (1.0 + _CHEB_NODES)  # nodes minus block starts
     rows = max(1, _KERNEL_CHUNK // (p * p * nblk))
     for i0 in range(0, nblk - 1, rows):
         i1 = min(i0 + rows, nblk - 1)
-        d = nodes[i0 * p:i1 * p, None] - nodes[None, (i0 + 1) * p:]
-        kern = (a2 / (d * d + a2)).reshape(i1 - i0, p, nblk - i0 - 1, p)
+        d = offs[i0:i1, :, None, None] - offs[None, None, i0 + 1:, :]
+        d += (start[i0:i1, None] - start[None, i0 + 1:])[:, None, :, None]
+        kern = a2 / (d * d + a2)
         kern *= far[i0:i1, None, i0 + 1:, None]
         kern = kern.reshape((i1 - i0) * p, -1)
         total += 2.0 * float(np.sum(moments[i0 * p:i1 * p]
@@ -248,7 +244,6 @@ class TransportDistribution:
     probabilities: np.ndarray = field(repr=False)
     radius: int
     boundary_leak: float
-    single_entry: bool
 
     @property
     def total_mass(self) -> float:
@@ -263,13 +258,11 @@ class TransportDistribution:
 
 def probability_distribution(source, time_scale: float,
                              config: EvolutionConfig = DEFAULT_CONFIG,
-                             radius: int | None = None,
-                             single_entry: bool = False
+                             radius: int | None = None
                              ) -> TransportDistribution:
     """All Abel probabilities P(n; T) on the truncated lattice at once.
 
-    Total mass is 2 (or 1 with single_entry) up to the truncation and tail
-    tolerances.
+    Total mass is 2 up to the truncation and tail tolerances.
     """
     op = _as_finite(source, radius, time_scale, 1, config)
     leak = _check_truncation(op, time_scale, config)
@@ -277,9 +270,11 @@ def probability_distribution(source, time_scale: float,
     dim = op.dimension
     a2 = (2.0 / time_scale) ** 2
 
-    entries = (0,) if single_entry else (0, 1)
-    per_entry = []
-    for i in entries:
+    # entry i contributes at displacement (site - i); both entries exist
+    # for the displacements -N .. N-1
+    disp = np.arange(-op.N, op.N)
+    probs = np.zeros(disp.size)
+    for i in (0, 1):
         b = u * u[op.site_index(i), :][None, :]
         acc = np.zeros(dim)
         col_chunk = max(1, int(4e6) // dim)
@@ -287,20 +282,10 @@ def probability_distribution(source, time_scale: float,
             cols = slice(lo, min(lo + col_chunk, dim))
             kblk = a2 / ((w[:, None] - w[None, cols]) ** 2 + a2)
             acc += np.einsum('nc,nc->n', b @ kblk, b[:, cols])
-        per_entry.append(acc)
-
-    # entry i contributes at displacement (site - i); displacements where
-    # every requested entry exists: -N .. N-1 (or the full window if only
-    # the first entry is used)
-    n_lo, n_hi = (-op.N, op.N) if single_entry else (-op.N, op.N - 1)
-    disp = np.arange(n_lo, n_hi + 1)
-    probs = np.zeros(disp.size)
-    for i, acc in zip(entries, per_entry):
         probs += acc[(disp + i) + op.N]
     return TransportDistribution(time_scale=float(time_scale),
                                  displacements=disp, probabilities=probs,
-                                 radius=op.N, boundary_leak=leak,
-                                 single_entry=single_entry)
+                                 radius=op.N, boundary_leak=leak)
 
 
 @dataclass(frozen=True)
@@ -316,14 +301,13 @@ class TransportMoments:
 
 def moments(source, time_scale: float, orders=(2,),
             config: EvolutionConfig = DEFAULT_CONFIG,
-            radius: int | None = None,
-            single_entry: bool = False) -> TransportMoments:
+            radius: int | None = None) -> TransportMoments:
     """Abel-averaged moment sums M_p(T) = sum_n |n|^p P(n; T)."""
     orders = tuple(float(p) for p in np.atleast_1d(orders))
-    if any(p < 0 for p in orders):
-        raise InputError(f"moment orders must be >= 0, got {orders}")
-    dist = probability_distribution(source, time_scale, config, radius,
-                                    single_entry)
+    if not all(math.isfinite(p) and p >= 0 for p in orders):
+        raise InputError(f"moment orders must be finite and >= 0, "
+                         f"got {orders}")
+    dist = probability_distribution(source, time_scale, config, radius)
     absn = np.abs(dist.displacements.astype(float))
     values = tuple(float(np.sum(absn ** p * dist.probabilities))
                    for p in orders)
@@ -349,6 +333,7 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
     integrated through the 1/(E - anchor) substitution rather than merely
     bounded.
     """
+    time_scale = _check_time_scale(time_scale)
     disp = [int(n) for n in np.atleast_1d(displacements)]
     if not disp:
         raise InputError("need at least one displacement")
@@ -356,26 +341,15 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
     if radius is None:
         radius = _resolvent_radius(time_scale, n_extent, config)
     op = _as_finite(source, radius, time_scale, n_extent, config)
-    dim = op.dimension
-    diag, off = op.tridiagonal()
     eta = 1.0 / time_scale
     rows0 = np.array([op.site_index(n) for n in disp])
     rows1 = np.array([op.site_index(n + 1) for n in disp])
-    rhs = np.zeros((dim, 2), dtype=complex)
-    rhs[op.site_index(0), 0] = 1.0
-    rhs[op.site_index(1), 1] = 1.0
-    ab = np.zeros((3, dim), dtype=complex)
-    ab[0, 1:] = off
-    ab[2, :-1] = off
 
     def integrand(energies):
         energies = np.atleast_1d(np.asarray(energies, dtype=float))
         out = np.empty((energies.size, len(disp)))
         for k, e in enumerate(energies):
-            ab[1, :] = diag - (e + 1j * eta)
-            sol = scipy.linalg.solve_banded((1, 1), ab, rhs,
-                                            overwrite_ab=False,
-                                            check_finite=False)
+            sol = op.resolvent(e + 1j * eta, sources=(0, 1))
             out[k] = np.abs(sol[rows0, 0]) ** 2 + np.abs(sol[rows1, 1]) ** 2
         return out
 
@@ -453,14 +427,12 @@ def abel_probability_floquet(model: PeriodicModel, displacement: int,
     """
     if not isinstance(model, PeriodicModel):
         raise InputError("the Floquet route needs a PeriodicModel")
+    time_scale = _check_time_scale(time_scale)
     if route == "auto":
         route = "kernel" if time_scale > 200.0 else "energy"
     if route not in ("energy", "kernel"):
         raise InputError(f"unknown route {route!r}")
     displacement = int(displacement)
-    time_scale = float(time_scale)
-    if time_scale <= 0:
-        raise InputError(f"time scale must be positive, got {time_scale}")
 
     if kappa_points is not None:
         if int(kappa_points) < 1:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import constants as frozen
 from .arithmetic import (Frequency, beta_estimate,
@@ -38,7 +37,7 @@ from .transfer import (cocycle_orbit, min_lyapunov_on_spectrum,
 from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
                         abel_horizon, abel_probability_floquet,
                         abel_probability_time, abel_resolvent_profile,
-                        amplitude, evolve, moments, probability_distribution,
+                        evolve, moments, probability_distribution,
                         subsequence_times, truncation_radius)
 
 
@@ -322,18 +321,6 @@ def _default_transport_models():
             periodic_model(AmoSampling(1.0), Fraction(2, 5), 0.1))
 
 
-def _resolvent_column(op: FiniteOperator, z: complex) -> np.ndarray:
-    diag, off = op.tridiagonal()
-    dim = op.dimension
-    ab = np.zeros((3, dim), dtype=complex)
-    ab[0, 1:] = off
-    ab[2, :-1] = off
-    ab[1, :] = diag - z
-    rhs = np.zeros(dim, dtype=complex)
-    rhs[op.site_index(0)] = 1.0
-    return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-
-
 def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
                                 checks=TRANSPORT_CHECKS, max_site: int = 60,
                                 route_rel_tol: float = 1e-3,
@@ -402,7 +389,7 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
 
     if "ct" in checks:
         free = FiniteOperator(np.zeros(401), 200)
-        col = _resolvent_column(free, 3.0j)
+        col = free.resolvent(3.0j)[:, 0]
         ns_fit = np.arange(5, 61)
         mags = np.abs(col[[free.site_index(int(n)) for n in ns_fit]])
         slope = float(np.polyfit(ns_fit, np.log(mags), 1)[0])
@@ -417,7 +404,7 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
             op = finite_operator(model, 200)
             audit.append((f"model{idx}", op, 0.3 + 1.5j))
         for name, op, z in audit:
-            col = _resolvent_column(op, z)
+            col = op.resolvent(z)[:, 0]
             dist = abs(z.imag)
             sites = np.arange(-op.N, op.N + 1)
             env = (frozen.CT_PREFACTOR / dist) \
@@ -504,8 +491,8 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
             p_kernel = abel_probability_time(op, n, t_scale, config)
 
             def integrand(ts):
-                a0 = amplitude(op, 0, n, ts)
-                a1 = amplitude(op, 1, n + 1, ts)
+                a0 = evolve(op, ts, 0, [n])[:, 0]
+                a1 = evolve(op, ts, 1, [n + 1])[:, 0]
                 w = (2.0 / t_scale) * np.exp(-2.0 * np.asarray(ts) / t_scale)
                 return w * (np.abs(a0) ** 2 + np.abs(a1) ** 2)
 
@@ -532,7 +519,7 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
         err = float(np.max(np.abs(psi - delta)))
         rows.append({"check": "t0", "kind": "evolution", "error": err,
                      "margin": 1e-12 - err, "ok": err < 1e-12})
-        a = amplitude(op, 0, 0, [0.0])[0]
+        a = evolve(op, [0.0], 0, [0])[0, 0]
         err_a = abs(a - 1.0)
         rows.append({"check": "t0", "kind": "amplitude", "error": err_a,
                      "margin": 1e-12 - err_a, "ok": err_a < 1e-12})

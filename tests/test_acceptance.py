@@ -22,7 +22,7 @@ from qptransport.operator import (AmoSampling, Chain, ZeroSampling,
                                   finite_operator, periodic_model)
 from qptransport.transfer import (gordon_block_statistic, lyapunov_exponent,
                                   min_lyapunov_on_spectrum, transfer_product)
-from qptransport.transport import EvolutionConfig, amplitude
+from qptransport.transport import EvolutionConfig, evolve
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -151,11 +151,10 @@ def test_criterion_08_free_lattice_bessel_oracle():
     t0 = time.perf_counter()
     op = finite_operator(Chain(ZeroSampling(), GOLDEN, 0.0), 200)
     times = np.linspace(0.0, 10.0, 21)
-    worst = 0.0
-    for n in range(-20, 21):
-        amp = amplitude(op, 0, n, times)
-        worst = max(worst, float(np.max(np.abs(np.abs(amp)
-                                               - np.abs(jv(n, 2.0 * times))))))
+    ns = np.arange(-20, 21)
+    amp = evolve(op, times, 0, ns)
+    worst = float(np.max(np.abs(np.abs(amp)
+                                - np.abs(jv(ns, 2.0 * times[:, None])))))
     elapsed = time.perf_counter() - t0
     _report(8, f"|amplitude| vs Bessel magnitude |J_n(2t)|, |n|<=20, "
                f"t<=10, radius 200: worst abs err {worst:.2e}",

@@ -90,6 +90,18 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--time-scale", "inf"), ("--time-scale", "nan"), ("--orders", "nan"),
+    ])
+    def test_non_finite_moments_input_is_typed_error(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "run"
+        code = main(["moments", "--freq", "2/5", flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        assert "InputError" in capsys.readouterr().err
+        assert not (out / "moments.csv").exists()
+
     def test_bad_freq_spec(self, tmp_path, capsys):
         assert main(["moments", "--freq", "abc", "--out", str(tmp_path)]) == 2
 
@@ -402,6 +414,39 @@ class TestSweep:
         assert [p["ok"] for p in index["points"]] == [True, False, True]
         assert index["points"][1]["error"] == \
             "LinAlgError: eigensolver did not converge"
+
+    def test_dead_worker_recorded_and_run_completes(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import functools
+        import multiprocessing
+        import os
+
+        import qptransport.cli as cli
+        real = cli.moments
+
+        def dying(chain, t, **kw):
+            if chain.f.coupling == 2.0:
+                os._exit(3)
+            return real(chain, t, **kw)
+
+        # forked workers inherit the patched module global
+        monkeypatch.setattr(cli, "moments", dying)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            cli.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("fork")))
+        out = tmp_path / "run"
+        code = main(["sweep", "--command", "moments", "--freq", "2/5",
+                     "--lambdas", "1,2,3", "--time-scale", "2",
+                     "--orders", "2", "--jobs", "2", "--out", str(out)])
+        assert code == 1
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert len(index["points"]) == 3
+        dead = index["points"][1]
+        assert dead["params"] == {"lam": 2.0} and not dead["ok"]
+        assert dead["error"].startswith("BrokenProcessPool")
+        assert index["failed"] == sum(not p["ok"] for p in index["points"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"] == {"failed": index["failed"]}
 
     @pytest.mark.parametrize("point, axis", [
         ("lyapunov", ["--thetas", "0,0.5"]),

@@ -7,19 +7,27 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from qptransport.arithmetic import (construct_liouville_frequency,
                                     continued_fraction_expansion)
 from qptransport.errors import InputError, TruncationError
-from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
-                                  ZeroSampling, finite_operator,
-                                  periodic_model)
+from qptransport.operator import (AmoSampling, Chain, FiniteOperator,
+                                  PeriodicModel, ZeroSampling,
+                                  finite_operator, periodic_model)
 from qptransport import transport as tr
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 FREE_CHAIN = Chain(ZeroSampling(), GOLDEN, 0.0)
+
+
+def free_lattice_amplitude(displacement, times):
+    """<delta_n, e^(-itH) delta_0> for the zero-potential chain:
+    (-i)^|n| J_|n|(2t)."""
+    n = abs(int(displacement))
+    return (-1j) ** n * scipy.special.jv(n, 2.0 * np.asarray(times, float))
 
 
 def bessel_abel_oracle(displacement, time_scale):
@@ -97,6 +105,18 @@ def test_fast_lorentz_form_matches_dense_sum(inputs):
     assert abs(fast - dense) <= 1e-12 * scale
 
 
+def test_fast_lorentz_form_keeps_precision_far_from_zero():
+    # one band 3e-6 wide at 2.5 and T = 1e7: node positions rounded to
+    # ulp(2.5) = 4e-16 would move kernel arguments by 2e-9 of a = 2e-7
+    rng = np.random.default_rng(1)
+    lams = 2.5 + 3e-6 * np.cos(rng.uniform(0.0, np.pi, 2000))
+    coeffs = rng.standard_normal((2000, 1)) / 2000
+    fast = tr._lorentz_form(lams, coeffs, 1e7)
+    dense = dense_lorentz_form(lams, coeffs, 1e7)
+    scale = dense_lorentz_form(lams, np.abs(coeffs), 1e7)
+    assert abs(fast - dense) <= 1e-14 * scale
+
+
 class TestRadii:
     def test_horizon_formula(self):
         assert tr.abel_horizon(10.0, 1e-6) == pytest.approx(
@@ -116,13 +136,87 @@ class TestRadii:
             tr.abel_horizon(5.0, tail_tolerance=2.0)
 
 
+TWO_PERIODIC = periodic_model(AmoSampling(1.0), Fraction(1, 2), 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: tr.abel_probability_time(FREE_CHAIN, 0, t),
+    lambda t: tr.moments(FREE_CHAIN, t),
+    lambda t: tr.abel_resolvent_profile(TWO_PERIODIC, [0], t),
+    lambda t: tr.abel_probability_floquet(TWO_PERIODIC, 0, t),
+], ids=["time", "moments", "resolvent", "floquet"])
+@pytest.mark.parametrize("time_scale", [0.0, math.inf, math.nan])
+def test_time_scale_must_be_finite_and_positive(call, time_scale):
+    with pytest.raises(InputError, match="time scale"):
+        call(time_scale)
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf])
+def test_moment_orders_must_be_finite(order):
+    with pytest.raises(InputError, match="moment orders"):
+        tr.moments(FREE_CHAIN, 3.0, orders=(1.0, order))
+
+
+@st.composite
+def evolve_inputs(draw):
+    """A truncated operator (N = 0-20, random diagonal), times with 0
+    among them, a source, and target sites in any order with repeats (or
+    None for every site)."""
+    n = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = FiniteOperator(rng.uniform(-3.0, 3.0, 2 * n + 1), n)
+    times = [0.0] + draw(st.lists(st.floats(0.0, 25.0), max_size=4))
+    source = draw(st.integers(-n, n))
+    sites = draw(st.none() | st.lists(st.integers(-n, n), max_size=12))
+    return op, draw(st.permutations(times)), source, sites
+
+
+@given(evolve_inputs())
+@settings(max_examples=60, deadline=None)
+def test_evolve_matches_matrix_exponential(inputs):
+    op, times, source, sites = inputs
+    rows = range(op.dimension) if sites is None else \
+        [op.site_index(n) for n in sites]
+    want = np.array([scipy.linalg.expm(-1j * t * op.dense())
+                     [rows, op.site_index(source)] for t in times])
+    got = tr.evolve(op, times, source, sites)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_resolvent_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    op = FiniteOperator(rng.uniform(-2.5, 2.5, 2 * n + 1), n)
+    sources = (0, -n, n, 0)
+    eye = np.eye(op.dimension)
+    for z in (0.3 + 1.5j, -1.0 + 0.01j, 2.0 - 0.2j, 5.5):
+        want = np.linalg.solve(op.dense() - z * eye,
+                               eye[:, [op.site_index(s) for s in sources]])
+        np.testing.assert_allclose(op.resolvent(z, sources), want,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 3, 7, 8, 30])
+def test_boundary_mass_is_the_edge_sum_of_the_wavefunction(n):
+    # below 16 sites the two edges overlap and shared sites count twice
+    op = finite_operator(Chain(AmoSampling(0.8), GOLDEN, 0.4), n)
+    for time in (0.0, 1.5, 12.0):
+        for source in {0, min(1, n)}:
+            prob = np.abs(tr.evolve(op, [time], source)[0]) ** 2
+            width = min(8, op.dimension)
+            want = np.sum(prob[:width]) + np.sum(prob[-width:])
+            assert tr.boundary_mass(op, time, source) == \
+                pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
 class TestEvolution:
     def test_free_amplitude_against_bessel(self):
         t = np.array([0.0, 0.7, 2.5])
-        np.testing.assert_allclose(tr.free_lattice_amplitude(0, t),
+        np.testing.assert_allclose(free_lattice_amplitude(0, t),
                                    scipy.special.jv(0, 2 * t), atol=1e-14)
         np.testing.assert_allclose(
-            tr.free_lattice_amplitude(2, t),
+            free_lattice_amplitude(2, t),
             -scipy.special.jv(2, 2 * t), atol=1e-14)
 
     def test_evolve_is_unitary(self):
@@ -136,13 +230,7 @@ class TestEvolution:
         psi = tr.evolve(op, [3.0])[0]
         for n in (-2, 0, 1, 5):
             assert psi[op.site_index(n)] == pytest.approx(
-                complex(tr.free_lattice_amplitude(n, 3.0)), abs=1e-10)
-
-    def test_amplitude_matches_evolve_entry(self):
-        op = finite_operator(Chain(AmoSampling(0.7), GOLDEN, 0.0), 25)
-        amp = tr.amplitude(op, 1, 4, [2.2])[0]
-        psi = tr.evolve(op, [2.2], source=1)[0]
-        assert amp == pytest.approx(psi[op.site_index(4)], abs=1e-12)
+                complex(free_lattice_amplitude(n, 3.0)), abs=1e-10)
 
     def test_boundary_mass_detects_escape(self):
         small = finite_operator(FREE_CHAIN, 12)
@@ -172,11 +260,6 @@ class TestTimeRoute:
     def test_distribution_mass_two(self):
         d = tr.probability_distribution(FREE_CHAIN, 3.0)
         assert d.total_mass == pytest.approx(2.0, rel=1e-6)
-        assert not d.single_entry
-
-    def test_single_entry_mass_one(self):
-        d = tr.probability_distribution(FREE_CHAIN, 3.0, single_entry=True)
-        assert d.total_mass == pytest.approx(1.0, rel=1e-6)
 
     def test_distribution_accessor(self):
         d = tr.probability_distribution(FREE_CHAIN, 3.0)
