@@ -46,7 +46,7 @@ from .operator import (AmoSampling, Chain, TableSampling, ZeroSampling,
                        periodic_model)
 from .transfer import lyapunov_exponent
 from .transport import DEFAULT_CONFIG, moments, probability_distribution
-from .verify import (FLOQUET_CHECKS, TRANSPORT_CHECKS, floquet_identity_suite,
+from .verify import (CHECKS, floquet_identity_suite, suite_checks,
                      theorem_demo, transport_consistency_suite)
 
 MANIFEST_SCHEMA = "qpt-manifest/1"
@@ -357,13 +357,17 @@ def _rows_to_csv(path: Path, rows) -> None:
     write_csv(path, keys, [[row.get(k) for k in keys] for row in rows])
 
 
+#: the verification suites, in the order verify.CHECKS lists them
+VERIFY_SUITES = tuple(dict.fromkeys(suite for suite, _ in CHECKS.values()))
+
+
 def _run_verify(cfg: dict, out: Path):
     # pick each suite's checks before running any; under "all" a suite
     # none of whose checks was selected is skipped
     plan = []
-    for name, known in (("floquet", FLOQUET_CHECKS),
-                        ("transport", TRANSPORT_CHECKS)):
+    for name in VERIFY_SUITES:
         if cfg["suite"] in (name, "all"):
+            known = suite_checks(name)
             chosen = tuple(c for c in (cfg["checks"] or known) if c in known)
             if chosen:
                 plan.append((name, chosen))
@@ -479,13 +483,18 @@ def _sweep_eval(task: dict) -> dict:
         return _failed_point(task, exc)
 
 
-def _pooled_result(future, task: dict) -> dict:
-    """A pooled point's result; a point whose worker died (and every point
-    still queued on the broken pool) is recorded as failed."""
+def _pooled_result(future, task: dict, alone: bool = False) -> dict:
+    """A pooled point's result.  A worker that dies breaks its pool and
+    loses every point not yet collected; each lost point is rerun in a
+    one-worker pool of its own, so only a point that kills its own
+    worker is recorded as failed."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
-        return _failed_point(task, exc)
+        if alone:
+            return _failed_point(task, exc)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return _pooled_result(pool.submit(_sweep_eval, task), task, True)
 
 
 def _run_sweep(cfg: dict, out: Path):
@@ -573,7 +582,7 @@ def _truthy(text: str) -> bool:
 
 def _check_names(text: str):
     names = [c.strip() for c in text.split(",") if c.strip()]
-    unknown = [c for c in names if c not in FLOQUET_CHECKS + TRANSPORT_CHECKS]
+    unknown = [c for c in names if c not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks {unknown}")
     return names
@@ -680,7 +689,7 @@ COMMANDS = {
     "verify": Command(
         "identity and consistency suites", _run_verify,
         (Param("suite", str, "all", flag="suite",
-               choices=("floquet", "transport", "all")),
+               choices=(*VERIFY_SUITES, "all")),
          Param("trials", int, "20", "random models for floquet"),
          Param("q_max", int, "8"),
          Param("samples_per_model", int, "4"),

@@ -1,6 +1,7 @@
 """Tests for the verification suites, the lower-bound scan machinery,
 the depth diagnostics, and the desk-scale demo pipeline."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,6 +22,9 @@ from qptransport.transport import EvolutionConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 Q2_MODEL = PeriodicModel.from_potential([1.0, -1.0])
+#: the suite runs that every check passes clean and must fail under its fault
+FLOQUET_RUN = {"count": 6, "q_max": 6, "seed": 5, "samples_per_model": 3}
+TRANSPORT_RUN = {"time_scales": (5.0,), "max_site": 24}
 
 
 def full_spectrum(model):
@@ -57,11 +61,10 @@ class TestFloquetSuite:
         assert rep.passed
 
     def test_random_ensemble_clean(self):
-        rep = vf.floquet_identity_suite(count=6, q_max=6, seed=5,
-                                        samples_per_model=3)
+        rep = vf.floquet_identity_suite(**FLOQUET_RUN)
         assert rep.violations == 0
         seen = {r["check"] for r in rep.artifacts}
-        assert seen == set(vf.FLOQUET_CHECKS)
+        assert seen == set(vf.suite_checks("floquet"))
 
     def test_corrupted_corner_trips(self):
         rep = vf.floquet_identity_suite(count=4, q_max=6, seed=5,
@@ -98,15 +101,118 @@ class TestTransportSuite:
         assert any(r["n"] < 0 for r in rows)
 
     def test_all_checks_clean(self):
-        rep = vf.transport_consistency_suite(time_scales=(5.0,),
-                                             max_site=24)
+        rep = vf.transport_consistency_suite(**TRANSPORT_RUN)
         assert rep.violations == 0
         seen = {r["check"] for r in rep.artifacts}
-        assert seen == set(vf.TRANSPORT_CHECKS)
+        assert seen == set(vf.suite_checks("transport"))
 
     def test_unknown_check_rejected(self):
         with pytest.raises(InputError):
             vf.transport_consistency_suite(checks=("teleport",))
+
+    def test_routes_below_floor_marked_and_left_out_of_worst_margin(self):
+        # P(60; T = 5) at q = 4 is about 3e-14, under the 1e-12 floor
+        model = periodic_model(AmoSampling(1.0), Fraction(1, 4), 0.17)
+        rep = vf.transport_consistency_suite(models=[model],
+                                             time_scales=(5.0,),
+                                             checks=("routes",), max_site=60)
+        rows = rep.rows("routes")
+        floor = [r for r in rows if r["below_floor"]]
+        assert floor and len(floor) < len(rows)
+        assert all(max(r["p_time"], r["p_resolvent"], r["p_floquet"])
+                   < 1e-12 for r in floor)
+        assert rep.violations == 0
+        assert rep.worst_margin == min(r["margin"] for r in rows
+                                       if not r["below_floor"])
+
+
+def _scaled(factor):
+    return lambda real: lambda *a, **k: real(*a, **k) * factor
+
+
+def _odd_in_kappa(real):
+    def fault(model, kappas):
+        lams, phis = real(model, kappas)
+        return lams + 1e-6 * np.asarray(kappas)[:, None], phis
+    return fault
+
+
+def _unnormalized(real):
+    def fault(model, kappa):
+        sys = real(model, kappa)
+        return dataclasses.replace(sys,
+                                   eigenvectors=sys.eigenvectors * 1.000001)
+    return fault
+
+
+def _superballistic(real):
+    def fault(*a, **k):
+        mom = real(*a, **k)
+        return dataclasses.replace(mom, values=tuple(
+            v * mom.time_scale ** 0.2 for v in mom.values))
+    return fault
+
+
+def _crossed_bounds(real):
+    def fault(*a, **k):
+        upper = real(*a, **k)[1]
+        return 2.0 * upper, 2.0 * upper
+    return fault
+
+
+def _late_clock(real):
+    def fault(op, times, *a):
+        return real(op, np.asarray(times, dtype=float) + 1e-6, *a)
+    return fault
+
+
+def _radius_leak(real):
+    def fault(*a, radius=None, **k):
+        return real(*a, radius=radius, **k) + 1e-7 * (radius or 0)
+    return fault
+
+
+#: check -> (owner, primitive, fault): fault(real) stands in for the
+#: primitive the check measures, looked up where verify looks it up
+FAULTS = {
+    "determinant": (vf, "floquet_matrix", _scaled(1.0 + 1e-3)),
+    "derivative": (vf, "eigenvalue_derivative", _scaled(1.0 + 1e-3)),
+    "last": (vf, "discriminant_derivative", _scaled(0.0)),
+    "sandwich": (vf, "derivative_sandwich", _crossed_bounds),
+    "weights": (vf, "floquet_eigensystem", _unnormalized),
+    "symmetry": (vf, "fiber_eigensystems", _odd_in_kappa),
+    "phi_bound": (vf, "phi_derivative", _scaled(1.01)),
+    "chebyshev": (vf, "phi_occupation_measure", _scaled(0.0)),
+    "routes": (vf, "abel_resolvent_profile", _scaled(1.01)),
+    "unitarity": (vf, "evolve", _scaled(1.0 + 1e-6)),
+    "ct": (vf.FiniteOperator, "resolvent",
+           lambda real: lambda *a, **k: real(*a, **k) + 1e-6),
+    "ballistic": (vf, "evolve",
+                  lambda real: lambda *a, **k: real(*a, **k) + 1e-6),
+    "moments": (vf, "moments", _superballistic),
+    "truncation": (vf, "abel_probability_time", _radius_leak),
+    "abel": (vf, "abel_probability_time", _scaled(1.0 + 1e-5)),
+    "t0": (vf, "evolve", _late_clock),
+}
+
+
+class TestNegativeControls:
+    def test_every_check_has_a_fault(self):
+        assert set(FAULTS) == set(vf.CHECKS)
+
+    @pytest.mark.parametrize("name", list(FAULTS))
+    def test_fault_trips_its_check(self, name, monkeypatch):
+        owner, primitive, fault = FAULTS[name]
+        monkeypatch.setattr(owner, primitive,
+                            fault(getattr(owner, primitive)))
+        suite = vf.CHECKS[name][0]
+        if suite == "floquet":
+            rep = vf.floquet_identity_suite(checks=(name,), **FLOQUET_RUN)
+        else:
+            rep = vf.transport_consistency_suite(checks=(name,),
+                                                 **TRANSPORT_RUN)
+        assert rep.violations > 0
+        assert {r["check"] for r in rep.artifacts} == {name}
 
 
 class TestLowerBound:
@@ -137,6 +243,13 @@ class TestLowerBound:
         # the window-edge point n = 115 is the argmin and is always sampled
         assert cal.min_ratio == pytest.approx(6.398, rel=0.05)
         assert cal.suggested_c >= frozen.LOWER_C
+
+    @pytest.mark.parametrize("run", [vf.lower_bound_scan,
+                                     vf.calibrate_lower_bound])
+    @pytest.mark.parametrize("t_scale", [0.0, math.inf, math.nan])
+    def test_time_scale_must_be_finite_and_positive(self, run, t_scale):
+        with pytest.raises(InputError):
+            run(Q2_MODEL, full_spectrum(Q2_MODEL), t_scale)
 
     def test_threshold_error_below_admissible(self):
         with pytest.raises(ThresholdError) as exc:
