@@ -45,7 +45,7 @@ from .floquet import band_structure, discriminant, measure_uniform_lower_bound
 from .operator import (AmoSampling, Chain, TableSampling, ZeroSampling,
                        periodic_model)
 from .transfer import lyapunov_exponent
-from .transport import DEFAULT_CONFIG, moments, probability_distribution
+from .transport import moments, probability_distribution
 from .verify import (CHECKS, floquet_identity_suite, suite_checks,
                      theorem_demo, transport_consistency_suite)
 

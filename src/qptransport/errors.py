@@ -55,3 +55,7 @@ class ThresholdError(QptError):
 
 class TruncationError(NumericalError):
     """Requested accuracy cannot be met by the configured truncation."""
+
+
+class MemoryLimitError(QptError):
+    """A computation would need more memory than the machine has."""

@@ -12,7 +12,11 @@ whose sum over n is exactly 2.  Routes:
   * time route: eigendecomposition of a truncated operator; the Abel time
     integral is done in closed form through the Lorentzian kernel
     (4/T^2) / ((lambda_k - lambda_k')^2 + 4/T^2), so its only errors are
-    lattice truncation (checked by a boundary-mass diagnostic);
+    lattice truncation (checked by a boundary-mass diagnostic).  Each
+    site's probability is one column c^T L c of the fast pair sum, the
+    columns of both entries for a chunk of sites in one call; a truncation
+    whose dense eigenvectors would not fit in physical memory is refused
+    before anything is built;
   * resolvent route: Plancherel form (1/(pi T)) integral |G(E + i/T)|^2 dE
     with banded solves and adaptive energy panels, exterior tails mapped to
     a bounded interval;
@@ -25,12 +29,14 @@ whose sum over n is exactly 2.  Routes:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arithmetic import Frequency
-from .errors import InputError, NumericalError, TruncationError
+from .errors import (InputError, MemoryLimitError, NumericalError,
+                     TruncationError)
 from .floquet import floquet_eigensystem
 from .operator import Chain, FiniteOperator, PeriodicModel, finite_operator
 from .quadrature import (adaptive_integrate, integrate_left_tail,
@@ -83,6 +89,9 @@ def truncation_radius(time_scale: float, n_extent: int = 1,
     inner = (config.truncation_speed * horizon
              + 12.0 * (1.0 + horizon) ** (1.0 / 3.0)
              + config.truncation_pad)
+    if not math.isfinite(inner):
+        raise InputError(f"time scale {time_scale} has no finite "
+                         "truncation radius")
     return int(math.ceil(inner)) + int(abs(n_extent))
 
 
@@ -97,6 +106,25 @@ def _as_finite(source, radius: int | None, time_scale: float,
     raise InputError(
         f"cannot build transport from {type(source).__name__}; "
         "pass a Chain, PeriodicModel, or FiniteOperator")
+
+
+def _time_operator(source, radius: int | None, time_scale: float,
+                   n_extent: int, config: EvolutionConfig) -> FiniteOperator:
+    """The time route's truncated operator, built only once its dense
+    eigenvectors (8 dim^2 bytes) and one column chunk of the Lorentz form
+    fit in the machine's physical memory."""
+    if radius is None and not isinstance(source, FiniteOperator):
+        radius = truncation_radius(time_scale, n_extent, config)
+    dim = source.dimension if isinstance(source, FiniteOperator) \
+        else 2 * radius + 1
+    need = 8 * (dim * dim + _COLUMN_CHUNK)
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise MemoryLimitError(
+            f"the time route at dimension {dim} needs about "
+            f"{need / 2 ** 30:.3g} GiB, more than the {limit / 2 ** 30:.3g} "
+            "GiB of physical memory")
+    return _as_finite(source, radius, time_scale, n_extent, config)
 
 
 def evolve(op: FiniteOperator, times, source: int = 0,
@@ -150,69 +178,92 @@ _CHEB_WEIGHTS = np.cos(np.outer(np.arange(_CHEB_ORDER),
 _CHEB_WEIGHTS[0] *= 0.5
 #: most kernel entries built at once
 _KERNEL_CHUNK = 1 << 18
+#: most coefficient entries (eigenvalues x columns) the time route passes to
+#: one _lorentz_form call
+_COLUMN_CHUNK = 2_000_000
+
+
+def _kernel(rows: np.ndarray, cols: np.ndarray, scale: float,
+            a2: float) -> np.ndarray:
+    """scale L(rows_r - cols_s), one row per entry of rows."""
+    d = rows[:, None] - cols[None, :]
+    d *= d
+    d += a2
+    return np.divide(scale * a2, d, out=d)
 
 
 def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
-                  time_scale: float) -> float:
-    """sum over the real columns c of coeffs (shape (N,) or (N, m)) of
-    sum_(k,k') c_k c_k' L(lam_k - lam_k'), L(x) = a^2/(x^2 + a^2), a = 2/T.
+                  time_scale: float) -> np.ndarray:
+    """c^T L c for each real column c of coeffs (shape (N,) or (N, m)),
+    L_kk' = L(lam_k - lam_k'), L(x) = a^2/(x^2 + a^2), a = 2/T: an array
+    of m values.
 
     Fast sum: the sorted eigenvalues are cut into blocks of
-    b = ceil((2 N p^2 / 3)^(1/3)) consecutive values.  Two blocks whose gap
-    is at least the larger of their widths are admissible: each sees the
-    poles of L(x - y) at x - y = +-ia outside the Bernstein ellipse
+    b = ceil((2 N p^2 / 3)^(1/3)) consecutive values, or into one block when
+    the whole N x N kernel fits in _KERNEL_CHUNK entries.  Two blocks whose
+    gap is at least the larger of their widths are admissible: each sees
+    the poles of L(x - y) at x - y = +-ia outside the Bernstein ellipse
     rho = 3 + sqrt(8) of the other's interval, so interpolating L at p = 20
     Chebyshev nodes per block errs by about rho^-p ~ 5e-16 relative to the
     kernel there.  Admissible pairs are summed through the kernel on the
-    nodes and the blocks' Chebyshev moments, the others directly; with one
-    block this is the direct sum.  Positions inside a block are measured
-    from its first eigenvalue, so kernel arguments are built from exact
-    differences of eigenvalues and small offsets, never from node positions
-    rounded to ulp(lambda), which is not small against a at large T
-    (a = 2e-7 at T = 1e7).  The error stays near 1e-15 of ||c||_1^2
-    (tests/test_transport.py compares it with the dense sum).
+    nodes and the blocks' Chebyshev moments, the others directly, one b x b
+    kernel and one matrix product over all columns at a time (b^2 stays
+    within _KERNEL_CHUNK up to N = 5e5); with one block this is the direct
+    sum.  Positions inside a block are measured from its first eigenvalue,
+    so kernel arguments are built from exact differences of eigenvalues and
+    small offsets, never from node positions rounded to ulp(lambda), which
+    is not small against a at large T (a = 2e-7 at T = 1e7).  The error
+    stays near 1e-15 of |c|^T L |c| per column (tests/test_transport.py
+    compares it with the dense sum).
     """
     a2 = (2.0 / time_scale) ** 2
     p = _CHEB_ORDER
     n = lams.size
-    order = np.argsort(lams, kind="stable")
-    c = np.asarray(coeffs, dtype=float).reshape(n, -1)[order]
-    size = int(math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0)))
-    nblk = -(-n // size)
-    pad = nblk * size - n  # zero coefficients at the largest eigenvalue
-    x = np.pad(lams[order], (0, pad), mode="edge").reshape(nblk, size)
-    c = np.pad(c, ((0, pad), (0, 0))).reshape(nblk, size, -1)
-    width = x[:, -1] - x[:, 0]
-    gap = x[None, :, 0] - x[:, -1, None]  # from block i up to block j > i
+    x = np.asarray(lams, dtype=float)
+    c = np.ascontiguousarray(coeffs, dtype=float).reshape(n, -1)
+    if np.any(x[1:] < x[:-1]):
+        order = np.argsort(x, kind="stable")
+        x, c = x[order], c[order]
+    size = n if n * n <= _KERNEL_CHUNK else \
+        int(math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0)))
+    starts = np.arange(0, n, size)
+    ends = np.minimum(starts + size, n)
+    nblk = starts.size
+    start = x[starts]
+    width = x[ends - 1] - start
+    gap = start[None, :] - x[ends - 1, None]  # from block i up to block j > i
     far = np.triu(gap >= np.maximum.outer(width, width), 1)
 
-    total = 0.0
-    ii, jj = np.nonzero(np.triu(~far))  # kernel symmetric: i <= j, twice i < j
-    weight = np.where(ii == jj, 1.0, 2.0)
-    step = max(1, _KERNEL_CHUNK // (size * size))
-    for s in range(0, ii.size, step):
-        i, j = ii[s:s + step], jj[s:s + step]
-        d = x[i, :, None] - x[j, None, :]
-        near = np.einsum('pkc,pkc->p', c[i], (a2 / (d * d + a2)) @ c[j])
-        total += float(weight[s:s + step] @ near)
+    # near pairs directly, i < j counted twice through the kernel's scale;
+    # the same pass takes each block's Chebyshev moments
+    total = np.zeros(c.shape[1])
+    half = 0.5 * width
+    moments = np.empty((nblk * p, c.shape[1]))
+    for i in range(nblk):
+        r = slice(starts[i], ends[i])
+        y = _kernel(x[r], x[r], 1.0, a2) @ c[r]
+        for j in np.flatnonzero(~far[i, i + 1:]) + i + 1:
+            s = slice(starts[j], ends[j])
+            y += _kernel(x[r], x[s], 2.0, a2) @ c[s]
+        y *= c[r]
+        total += y.sum(axis=0)
+        if nblk > 1:
+            u = (x[r] - start[i] - half[i]) / (half[i] if half[i] > 0 else 1.0)
+            basis = np.cos(np.arange(p) * np.arccos(np.clip(u, -1.0, 1.0))
+                           [:, None])
+            moments[i * p:(i + 1) * p] = (basis @ _CHEB_WEIGHTS).T @ c[r]
 
-    half, start = 0.5 * width, x[:, 0]
-    u = ((x - start[:, None]) - half[:, None]) \
-        / np.where(half > 0, half, 1.0)[:, None]
-    basis = np.cos(np.arange(p) * np.arccos(np.clip(u, -1.0, 1.0))[..., None])
-    moments = np.einsum('jka,jkc->jac', basis @ _CHEB_WEIGHTS, c)
-    moments = moments.reshape(nblk * p, -1)
     offs = half[:, None] * (1.0 + _CHEB_NODES)  # nodes minus block starts
     rows = max(1, _KERNEL_CHUNK // (p * p * nblk))
     for i0 in range(0, nblk - 1, rows):
         i1 = min(i0 + rows, nblk - 1)
         d = offs[i0:i1, :, None, None] - offs[None, None, i0 + 1:, :]
         d += (start[i0:i1, None] - start[None, i0 + 1:])[:, None, :, None]
-        kern = a2 / (d * d + a2)
+        kern = 2.0 * a2 / (d * d + a2)
         kern *= far[i0:i1, None, i0 + 1:, None]
-        kern = kern.reshape((i1 - i0) * p, -1)
-        total += 2.0 * float(np.sum(moments[i0 * p:i1 * p]
-                                    * (kern @ moments[(i0 + 1) * p:])))
+        y = kern.reshape((i1 - i0) * p, -1) @ moments[(i0 + 1) * p:]
+        y *= moments[i0 * p:i1 * p]
+        total += y.sum(axis=0)
     return total
 
 
@@ -227,12 +278,12 @@ def abel_probability_time(source, displacement: int, time_scale: float,
     """
     displacement = int(displacement)
     n_extent = max(abs(displacement), abs(displacement + 1))
-    op = _as_finite(source, radius, time_scale, n_extent, config)
+    op = _time_operator(source, radius, time_scale, n_extent, config)
     _check_truncation(op, time_scale, config)
     w, u = op.eigensystem()
     coeffs = np.stack([u[op.site_index(displacement + i), :]
                        * u[op.site_index(i), :] for i in (0, 1)], axis=1)
-    return _lorentz_form(w, coeffs, time_scale)
+    return float(np.sum(_lorentz_form(w, coeffs, time_scale)))
 
 
 @dataclass(frozen=True)
@@ -264,25 +315,24 @@ def probability_distribution(source, time_scale: float,
 
     Total mass is 2 up to the truncation and tail tolerances.
     """
-    op = _as_finite(source, radius, time_scale, 1, config)
+    op = _time_operator(source, radius, time_scale, 1, config)
     leak = _check_truncation(op, time_scale, config)
     w, u = op.eigensystem()
-    dim = op.dimension
-    a2 = (2.0 / time_scale) ** 2
+    u0, u1 = u[op.site_index(0)], u[op.site_index(1)]
 
-    # entry i contributes at displacement (site - i); both entries exist
-    # for the displacements -N .. N-1
+    # both entries exist for the displacements -N .. N-1; entry i of
+    # displacement d sits at site d + i, row k + i for d = disp[k]
     disp = np.arange(-op.N, op.N)
-    probs = np.zeros(disp.size)
-    for i in (0, 1):
-        b = u * u[op.site_index(i), :][None, :]
-        acc = np.zeros(dim)
-        col_chunk = max(1, int(4e6) // dim)
-        for lo in range(0, dim, col_chunk):
-            cols = slice(lo, min(lo + col_chunk, dim))
-            kblk = a2 / ((w[:, None] - w[None, cols]) ** 2 + a2)
-            acc += np.einsum('nc,nc->n', b @ kblk, b[:, cols])
-        probs += acc[(disp + i) + op.N]
+    probs = np.empty(disp.size)
+    step = max(1, _COLUMN_CHUNK // (2 * op.dimension))
+    for lo in range(0, disp.size, step):
+        hi = min(lo + step, disp.size)
+        m = hi - lo
+        coeffs = np.empty((op.dimension, 2 * m))
+        np.multiply(u[lo:hi].T, u0[:, None], out=coeffs[:, :m])
+        np.multiply(u[lo + 1:hi + 1].T, u1[:, None], out=coeffs[:, m:])
+        vals = _lorentz_form(w, coeffs, time_scale)
+        probs[lo:hi] = vals[:m] + vals[m:]
     return TransportDistribution(time_scale=float(time_scale),
                                  displacements=disp, probabilities=probs,
                                  radius=op.N, boundary_leak=leak)
@@ -466,7 +516,8 @@ def _floquet_value(model: PeriodicModel, displacement: int, time_scale: float,
     if route == "kernel":
         # Re(c_k conj(c_k')) = Re c_k Re c_k' + Im c_k Im c_k'
         columns = np.concatenate([coeffs.real, coeffs.imag]).reshape(4, -1)
-        return _lorentz_form(lams.ravel(), columns.T, time_scale)
+        return float(np.sum(_lorentz_form(lams.ravel(), columns.T,
+                                          time_scale)))
 
     eta = 1.0 / time_scale
     lam_flat = lams.ravel()

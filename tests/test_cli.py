@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from qptransport import transport
 from qptransport.cli import main, parse_axis, parse_freq_spec, to_jsonable
 
 
@@ -92,6 +93,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--time-scale", "inf"), ("--time-scale", "nan"), ("--orders", "nan"),
+        ("--time-scale", "1e308"),
     ])
     def test_non_finite_moments_input_is_typed_error(self, tmp_path, capsys,
                                                      flag, value):
@@ -100,6 +102,18 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 1
         assert "InputError" in capsys.readouterr().err
+        assert not (out / "moments.csv").exists()
+
+    def test_time_route_beyond_physical_memory_exits_one(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # T = 1e5 needs dimension 3.3 million, 8.9e13 bytes of eigenvectors:
+        # refused before the operator is built
+        monkeypatch.setattr(transport, "finite_operator", None)
+        out = tmp_path / "run"
+        code = main(["moments", "--time-scale", "1e5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "MemoryLimitError" in err and "physical memory" in err
         assert not (out / "moments.csv").exists()
 
     def test_bad_freq_spec(self, tmp_path, capsys):

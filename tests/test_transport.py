@@ -1,6 +1,7 @@
 """Tests for the Abel-averaged transport routes and moment sums."""
 
 import math
+import os
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qptransport.arithmetic import (construct_liouville_frequency,
                                     continued_fraction_expansion)
-from qptransport.errors import InputError, TruncationError
+from qptransport.errors import InputError, MemoryLimitError, TruncationError
 from qptransport.operator import (AmoSampling, Chain, FiniteOperator,
                                   PeriodicModel, ZeroSampling,
                                   finite_operator, periodic_model)
@@ -56,26 +57,44 @@ def free_legendre_oracle(displacement, time_scale):
 
 def dense_lorentz_form(lams, coeffs, time_scale):
     """Oracle for tr._lorentz_form: every one of the N^2 kernel entries,
-    built in row chunks, summed against each real coefficient column."""
+    built in row chunks, c^T L c for each real coefficient column c."""
     a2 = (2.0 / time_scale) ** 2
     c = np.asarray(coeffs, dtype=float).reshape(lams.size, -1)
-    total = 0.0
+    total = np.zeros(c.shape[1])
     n = lams.size
     chunk = max(1, int(4e6) // max(1, n))
     for lo in range(0, n, chunk):
         d = lams[lo:lo + chunk, None] - lams[None, :]
         kern = a2 / (d * d + a2)
-        total += float(np.sum(c[lo:lo + chunk] * (kern @ c)))
+        total += np.sum(c[lo:lo + chunk] * (kern @ c), axis=0)
     return total
+
+
+def dense_distribution(op, time_scale):
+    """Oracle for tr.probability_distribution on a FiniteOperator: for each
+    entry i, every site's column of the full dim x dim Lorentz kernel."""
+    w, u = op.eigensystem()
+    a2 = (2.0 / time_scale) ** 2
+    kern = a2 / ((w[:, None] - w[None, :]) ** 2 + a2)
+    disp = np.arange(-op.N, op.N)
+    probs = np.zeros(disp.size)
+    for i in (0, 1):
+        b = u * u[op.site_index(i), :][None, :]
+        acc = np.einsum('nc,nc->n', b @ kern, b)
+        probs += acc[(disp + i) + op.N]
+    return probs
 
 
 @st.composite
 def lorentz_inputs(draw):
     """Eigenvalue sets the Floquet and time routes produce, and harder:
     clustered narrow bands, exact pairs lambda(kappa) = lambda(-kappa), all
-    values equal (blocks of zero width), sizes around one block."""
+    values equal (blocks of zero width), sizes around one block and around
+    the switch to one block at N = 512, and up to 64 columns (more columns
+    than eigenvalues for small N)."""
     kind = draw(st.sampled_from(["bands", "ties", "equal", "spread"]))
-    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(480, 560),
+                       st.integers(1, 3000)))
     time_scale = 10.0 ** draw(st.floats(0.0, 7.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "bands":
@@ -91,7 +110,9 @@ def lorentz_inputs(draw):
         lams = np.full(n, rng.uniform(-3.0, 3.0))
     else:
         lams = rng.uniform(-3.0, 3.0, n)
-    coeffs = rng.standard_normal((n, draw(st.integers(1, 4)))) / n
+    if draw(st.booleans()):
+        lams = np.sort(lams)  # as eigh_tridiagonal returns them
+    coeffs = rng.standard_normal((n, draw(st.integers(1, 64)))) / n
     return lams, coeffs, time_scale
 
 
@@ -102,7 +123,8 @@ def test_fast_lorentz_form_matches_dense_sum(inputs):
     fast = tr._lorentz_form(lams, coeffs, time_scale)
     dense = dense_lorentz_form(lams, coeffs, time_scale)
     scale = dense_lorentz_form(lams, np.abs(coeffs), time_scale)
-    assert abs(fast - dense) <= 1e-12 * scale
+    assert fast.shape == (coeffs.shape[1],)
+    assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
 
 
 def test_fast_lorentz_form_keeps_precision_far_from_zero():
@@ -110,11 +132,24 @@ def test_fast_lorentz_form_keeps_precision_far_from_zero():
     # ulp(2.5) = 4e-16 would move kernel arguments by 2e-9 of a = 2e-7
     rng = np.random.default_rng(1)
     lams = 2.5 + 3e-6 * np.cos(rng.uniform(0.0, np.pi, 2000))
-    coeffs = rng.standard_normal((2000, 1)) / 2000
+    coeffs = rng.standard_normal((2000, 3)) / 2000
     fast = tr._lorentz_form(lams, coeffs, 1e7)
     dense = dense_lorentz_form(lams, coeffs, 1e7)
     scale = dense_lorentz_form(lams, np.abs(coeffs), 1e7)
-    assert abs(fast - dense) <= 1e-14 * scale
+    assert np.all(np.abs(fast - dense) <= 1e-14 * scale)
+
+
+@given(time_scale=st.floats(0.5, 25.0), extra=st.integers(0, 40),
+       coupling=st.floats(0.0, 3.0), theta=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_distribution_matches_dense_kernel(time_scale, extra, coupling,
+                                           theta):
+    # dimensions 157 to 1,155: both sides of the one-block switch
+    radius = tr.truncation_radius(time_scale) + extra
+    op = finite_operator(Chain(AmoSampling(coupling), GOLDEN, theta), radius)
+    dist = tr.probability_distribution(op, time_scale)
+    dense = dense_distribution(op, time_scale)
+    assert np.all(np.abs(dist.probabilities - dense) <= 1e-12 * 2.0)
 
 
 class TestRadii:
@@ -279,6 +314,22 @@ class TestTimeRoute:
         with pytest.raises(InputError):
             tr.moments(FREE_CHAIN, 3.0, orders=(-1,))
 
+    def test_memory_preflight_spares_the_resolvent_route(self, monkeypatch):
+        want = tr.abel_probability_time(FREE_CHAIN, 2, 3.0)
+        # with 1 MiB of physical memory the time route refuses before it
+        # builds an operator; the O(dim) resolvent route still runs
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: 256 if
+                            name == "SC_PHYS_PAGES" else sysconf(name))
+        with monkeypatch.context() as m:
+            m.setattr(tr, "finite_operator", None)
+            with pytest.raises(MemoryLimitError, match="dimension"):
+                tr.probability_distribution(FREE_CHAIN, 3.0)
+            with pytest.raises(MemoryLimitError):
+                tr.abel_probability_time(FREE_CHAIN, 2, 3.0)
+        assert tr.abel_probability_resolvent(FREE_CHAIN, 2, 3.0) == \
+            pytest.approx(want, rel=1e-4)
+
 
 class TestResolventRoute:
     def test_free_lattice_bessel_oracle(self):
@@ -360,7 +411,7 @@ class TestFloquetRoute:
         model = periodic_model(AmoSampling(1.5), Fraction(3, 5), 0.1)
         lams, coeffs = tr._bloch_data(model, 128, 5)
         dense = sum(dense_lorentz_form(lams.ravel(), part(coeffs[i].ravel()),
-                                       8403.0)
+                                       8403.0)[0]
                     for i in (0, 1) for part in (np.real, np.imag))
         fast = tr.abel_probability_floquet(model, 5, 8403.0, route="kernel",
                                            kappa_points=128)
@@ -370,7 +421,7 @@ class TestFloquetRoute:
         op = finite_operator(Chain(AmoSampling(2.0), GOLDEN, 0.3), 60)
         w, u = op.eigensystem()
         dense = sum(dense_lorentz_form(w, u[op.site_index(3 + i), :]
-                                       * u[op.site_index(i), :], 40.0)
+                                       * u[op.site_index(i), :], 40.0)[0]
                     for i in (0, 1))
         fast = tr.abel_probability_time(op, 3, 40.0)
         assert fast == pytest.approx(dense, rel=1e-12)
