@@ -245,8 +245,9 @@ class FiniteOperator:
             try:
                 w, u = scipy.linalg.eigh_tridiagonal(*self.tridiagonal())
             except np.linalg.LinAlgError:
-                # stemr can fail on tightly clustered spectra; the QR driver
-                # is slower but does not give up
+                # SciPy's default ("auto", LAPACK stevd) can fail on
+                # tightly clustered spectra; QR iteration (stev) is slower
+                # but does not give up
                 w, u = scipy.linalg.eigh_tridiagonal(*self.tridiagonal(),
                                                      lapack_driver="stev")
             self._eig = (w, u)

@@ -21,8 +21,9 @@ whose sum over n is exactly 2.  Routes:
     with banded solves and adaptive energy panels, exterior tails mapped to
     a bounded interval;
   * Floquet route (periodic operators): the resolvent entries are assembled
-    from the fiber eigensystems on a quasimomentum grid; for large T the
-    energy integral is eliminated analytically, leaving a double
+    from the fiber eigensystems on a quasimomentum grid, one set of
+    eigensystems per grid for a whole window of displacements; for large T
+    the energy integral is eliminated analytically, leaving a double
     quasimomentum sum against the same Lorentzian kernel.
 """
 
@@ -110,14 +111,16 @@ def _as_finite(source, radius: int | None, time_scale: float,
 
 def _time_operator(source, radius: int | None, time_scale: float,
                    n_extent: int, config: EvolutionConfig) -> FiniteOperator:
-    """The time route's truncated operator, built only once its dense
-    eigenvectors (8 dim^2 bytes) and one column chunk of the Lorentz form
-    fit in the machine's physical memory."""
+    """The time route's truncated operator, built only once its peak fits
+    in the machine's physical memory: the dense eigenvectors and the
+    eigensolver's workspace beside them (LAPACK ?stevd takes
+    dim^2 + 4 dim + 1 doubles) at 8 dim^2 bytes each, plus one column chunk
+    of the Lorentz form."""
     if radius is None and not isinstance(source, FiniteOperator):
         radius = truncation_radius(time_scale, n_extent, config)
     dim = source.dimension if isinstance(source, FiniteOperator) \
         else 2 * radius + 1
-    need = 8 * (dim * dim + _COLUMN_CHUNK)
+    need = 8 * (2 * dim * dim + _COLUMN_CHUNK)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
         raise MemoryLimitError(
@@ -178,8 +181,8 @@ _CHEB_WEIGHTS = np.cos(np.outer(np.arange(_CHEB_ORDER),
 _CHEB_WEIGHTS[0] *= 0.5
 #: most kernel entries built at once
 _KERNEL_CHUNK = 1 << 18
-#: most coefficient entries (eigenvalues x columns) the time route passes to
-#: one _lorentz_form call
+#: most coefficient entries (eigenvalues x columns) the time and Floquet
+#: kernel routes pass to one _lorentz_form call
 _COLUMN_CHUNK = 2_000_000
 
 
@@ -368,8 +371,12 @@ def moments(source, time_scale: float, orders=(2,),
 def _resolvent_radius(time_scale: float, n_extent: int,
                       config: EvolutionConfig) -> int:
     # interior resolvent decay at Im z = 1/T is as slow as e^(-d/(2T))
-    return int(math.ceil(2.5 * time_scale * math.log(4.0 / config.tail_tolerance)
-                         + abs(n_extent) + 64))
+    radius = 2.5 * time_scale * math.log(4.0 / config.tail_tolerance) \
+        + abs(n_extent) + 64
+    if not math.isfinite(radius):
+        raise InputError(f"time scale {time_scale} has no finite "
+                         "resolvent radius")
+    return int(math.ceil(radius))
 
 
 def abel_resolvent_profile(source, displacements, time_scale: float,
@@ -436,44 +443,63 @@ def abel_probability_resolvent(source, displacement: int, time_scale: float,
     return float(profile[0])
 
 
-def _bloch_data(model: PeriodicModel, points: int, displacement: int):
-    """Eigenvalues and two-entry spectral coefficients on the kappa grid.
+def _bloch_data(model: PeriodicModel, points: int, displacements):
+    """Eigenvalues on the kappa grid, shape (points, q), and a function
+    giving the two-entry spectral coefficients of a slice of displacements.
 
     For entry i the target site is g = displacement + i = s q + r; the
     extended Bloch wave obeys psi(n + q) = e^(-i q kappa) psi(n), so the
     coefficient of 1/(lambda_j(kappa) - z) in G(g, i; z) is
-    e^(-i q kappa s) Psi_j(r) conj(Psi_j(i)) / points.
+    e^(-i q kappa s) Psi_j(r) conj(Psi_j(i)) / points.  One eigensystem per
+    kappa serves every displacement; only the eigenvector rows of the
+    residues r and of the sources are kept.  coefficients(sel) returns the
+    coefficients of displacements[sel], shape (points q, k, 2): flattened
+    (kappa, j), displacement, entry.
     """
     q = model.q
+    disp = np.asarray(displacements, dtype=np.int64).reshape(-1)
     kappas = np.arange(points) * (2.0 * math.pi / q) / points
+    src = np.array([0, 1 % q])
+    shift = np.array([0, 1 // q])  # delta_1 sits in the next cell when q = 1
+    need, slot = np.unique(np.concatenate([src, (disp[:, None] + (0, 1)) % q],
+                                          axis=None), return_inverse=True)
+    src_slot, row_slot = slot[:2], slot[2:].reshape(-1, 2)
     lams = np.empty((points, q))
-    coeffs = np.empty((2, points, q), dtype=complex)
+    vecs = np.empty((points, q, need.size), dtype=complex)  # kappa, j, row
     for m, kap in enumerate(kappas):
         es = floquet_eigensystem(model, kap)
         lams[m] = es.eigenvalues
-        for i in (0, 1):
-            g = displacement + i
-            s, r = divmod(g, q)
-            src = i % q
-            shift = i // q  # source delta_1 sits in the next cell when q = 1
-            w = es.eigenvectors[r, :] * np.conj(es.eigenvectors[src, :])
-            phase = np.exp(-1j * q * kap * (s - shift))
-            coeffs[i, m] = phase * w / points
-    return lams, coeffs
+        vecs[m] = es.eigenvectors[need].T
+
+    def coefficients(sel):
+        s = (disp[sel, None] + (0, 1)) // q
+        coeffs = vecs[:, :, row_slot[sel]]
+        coeffs *= np.conj(vecs[:, :, src_slot])[:, :, None, :]
+        coeffs *= np.exp(-1j * q * kappas[:, None, None] * (s - shift))[:, None]
+        coeffs /= points
+        return coeffs.reshape(points * q, -1, 2)
+
+    return lams, coefficients
 
 
-def abel_probability_floquet(model: PeriodicModel, displacement: int,
+def abel_probability_floquet(model: PeriodicModel, displacement,
                              time_scale: float,
                              config: EvolutionConfig = DEFAULT_CONFIG,
                              route: str = "auto",
-                             kappa_points: int | None = None) -> float:
-    """P(n; T) for a periodic operator through its fiber eigensystems.
+                             kappa_points: int | None = None):
+    """P(n; T) for a periodic operator through its fiber eigensystems, for
+    one displacement (a float back) or an array of them (an array back).
 
     route='energy' integrates |G|^2 over E with G assembled from the
-    quasimomentum grid; route='kernel' does the E integral analytically and
-    sums the Lorentzian kernel over quasimomentum pairs (preferred for
-    large T).  'auto' switches at T = 200.  The grid is doubled until the
-    answer is stable.
+    quasimomentum grid, one adaptive integral per displacement;
+    route='kernel' does the E integral analytically and sums the
+    Lorentzian kernel over quasimomentum pairs (preferred for large T),
+    the coefficient columns of many displacements per pair sum.  'auto'
+    switches at T = 200.  The grid starts at 256 points and doubles; one
+    set of fiber eigensystems per grid serves the whole window.  Each
+    displacement stops on its own, once a doubling changes its value by
+    at most 10 energy_rel_tol of its size (+ 1e-13), and leaves the later
+    grids, so every value equals its one-displacement call.
     """
     if not isinstance(model, PeriodicModel):
         raise InputError("the Floquet route needs a PeriodicModel")
@@ -482,59 +508,84 @@ def abel_probability_floquet(model: PeriodicModel, displacement: int,
         route = "kernel" if time_scale > 200.0 else "energy"
     if route not in ("energy", "kernel"):
         raise InputError(f"unknown route {route!r}")
-    displacement = int(displacement)
+    disp = np.array([int(n) for n in np.atleast_1d(displacement)],
+                    dtype=np.int64)
+    if not disp.size:
+        raise InputError("need at least one displacement")
+    disp, inverse = np.unique(disp, return_inverse=True)
+
+    def answer(values):
+        values = values[inverse]
+        return float(values[0]) if np.ndim(displacement) == 0 else values
 
     if kappa_points is not None:
         if int(kappa_points) < 1:
             raise InputError(
                 f"need at least one kappa point, got {kappa_points}")
-        return _floquet_value(model, displacement, time_scale, route,
-                              int(kappa_points), config)
+        return answer(_floquet_values(model, disp, time_scale, route,
+                                      int(kappa_points), config))
+    values = np.full(disp.size, np.nan)
+    change = np.full(disp.size, math.inf)
+    active = np.ones(disp.size, dtype=bool)
     points = 256
-    prev = None
-    last_change = math.inf
     while points <= config.max_kappa_points:
-        val = _floquet_value(model, displacement, time_scale, route, points,
-                             config)
-        if prev is not None:
-            scale = max(abs(val), abs(prev), 1e-300)
-            last_change = abs(val - prev)
+        val = _floquet_values(model, disp[active], time_scale, route, points,
+                              config)
+        prev = values[active]
+        values[active] = val
+        if points > 256:
+            change[active] = np.abs(val - prev)
+            scale = np.maximum(np.maximum(np.abs(val), np.abs(prev)), 1e-300)
             # 1e-13 floor: below the rounding noise of the double kappa sum
             # a relative test can never settle
-            if last_change <= 10.0 * config.energy_rel_tol * scale + 1e-13:
-                return val
-        prev = val
+            active[active] = ~(change[active] <= 10.0 * config.energy_rel_tol
+                               * scale + 1e-13)
+            if not active.any():
+                return answer(values)
         points *= 2
     raise NumericalError(
         f"quasimomentum grid did not converge below {config.max_kappa_points} "
-        f"points (last change {last_change:.3e} at {points // 2})")
+        f"points: displacements {disp[active].tolist()} last changed by "
+        f"{', '.join(f'{c:.3e}' for c in change[active])} at {points // 2}")
 
 
-def _floquet_value(model: PeriodicModel, displacement: int, time_scale: float,
-                   route: str, points: int, config: EvolutionConfig) -> float:
-    lams, coeffs = _bloch_data(model, points, displacement)
-    if route == "kernel":
-        # Re(c_k conj(c_k')) = Re c_k Re c_k' + Im c_k Im c_k'
-        columns = np.concatenate([coeffs.real, coeffs.imag]).reshape(4, -1)
-        return float(np.sum(_lorentz_form(lams.ravel(), columns.T,
-                                          time_scale)))
-
-    eta = 1.0 / time_scale
+def _floquet_values(model: PeriodicModel, disp: np.ndarray,
+                    time_scale: float, route: str, points: int,
+                    config: EvolutionConfig) -> np.ndarray:
+    """P(n; T) for each displacement in disp on one kappa grid."""
+    lams, coefficients = _bloch_data(model, points, disp)
     lam_flat = lams.ravel()
-    c0 = coeffs[0].ravel()
-    c1 = coeffs[1].ravel()
-
-    def integrand(energies):
-        energies = np.atleast_1d(np.asarray(energies, dtype=float))
-        out = np.empty(energies.size)
-        for k, e in enumerate(energies):
-            denom = lam_flat - (e + 1j * eta)
-            out[k] = abs(np.sum(c0 / denom)) ** 2 + \
-                abs(np.sum(c1 / denom)) ** 2
+    out = np.empty(disp.size)
+    if route == "kernel":
+        # Re(c_k conj(c_k')) = Re c_k Re c_k' + Im c_k Im c_k': four real
+        # columns per displacement, as many displacements per pair sum as
+        # _COLUMN_CHUNK allows (at least one)
+        step = max(1, _COLUMN_CHUNK // (4 * lam_flat.size))
+        for lo in range(0, disp.size, step):
+            c = coefficients(slice(lo, lo + step))
+            columns = np.concatenate([c.real, c.imag], axis=2)
+            del c  # the pair sum holds only the real columns
+            vals = _lorentz_form(lam_flat, columns.reshape(lam_flat.size, -1),
+                                 time_scale)
+            out[lo:lo + step] = vals.reshape(-1, 4).sum(axis=1)
         return out
 
-    return _abel_energy_integral(integrand, model.norm_bound + 1.0,
-                                 time_scale, config)
+    eta = 1.0 / time_scale
+    for k in range(disp.size):
+        c0, c1 = coefficients(slice(k, k + 1))[:, 0].T.copy()
+
+        def integrand(energies):
+            energies = np.atleast_1d(np.asarray(energies, dtype=float))
+            res = np.empty(energies.size)
+            for m, e in enumerate(energies):
+                denom = lam_flat - (e + 1j * eta)
+                res[m] = abs(np.sum(c0 / denom)) ** 2 + \
+                    abs(np.sum(c1 / denom)) ** 2
+            return res
+
+        out[k] = _abel_energy_integral(integrand, model.norm_bound + 1.0,
+                                       time_scale, config)
+    return out
 
 
 @dataclass(frozen=True)

@@ -297,11 +297,12 @@ def _routes(case):
             op = finite_operator(model, radius)
             dist = probability_distribution(op, t_scale, config)
             prof = abel_resolvent_profile(model, disp, t_scale, config)
+            floq = abel_probability_floquet(model, disp, t_scale, config,
+                                            route="kernel")
             for k, n in enumerate(ns):
                 p_time = dist.probability(n * q)
                 p_res = float(prof[k])
-                p_floq = abel_probability_floquet(model, n * q, t_scale,
-                                                  config, route="kernel")
+                p_floq = float(floq[k])
                 den = max(p_time, p_res, p_floq, 1e-12)
                 worst = max(abs(p_time - p_res), abs(p_time - p_floq),
                             abs(p_res - p_floq)) / den
@@ -690,10 +691,10 @@ def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
         model, interval, time_scale, constants, kappa_grid)
     q = model.q
     rhs = c * eta ** 2 / (q ** 6 * ell * time_scale)
-    pairs = []
-    for n in _window_integers(n_lo, n_hi, max_points):
-        p = abel_probability_floquet(model, n * q, time_scale, config)
-        pairs.append((n, p, rhs))
+    ns = _window_integers(n_lo, n_hi, max_points)
+    probs = abel_probability_floquet(model, np.array(ns) * q, time_scale,
+                                     config)
+    pairs = [(n, float(p), rhs) for n, p in zip(ns, probs)]
     return LowerBoundScan(q=q, theta=model.theta, eta=eta, band_index=j,
                           band_width=ell, time_scale=float(time_scale),
                           window=(n_lo, n_hi), pairs=tuple(pairs),

@@ -84,7 +84,7 @@ def test_criterion_04_three_route_probability_agreement():
     _report(4, f"time vs resolvent vs fiber-kernel probabilities on "
                f"{rep.instances} (q, T, n) points, {rep.violations} "
                f"disagreements beyond 1e-3",
-            rep.instances >= 600 and rep.violations == 0, elapsed, 180.0)
+            rep.instances >= 600 and rep.violations == 0, elapsed, 90.0)
 
 
 def test_criterion_05_conservation_and_normalization():
@@ -195,7 +195,7 @@ def test_criterion_10_frozen_lower_bound_constants():
                        f"{scan.window} at T={t_use:.3g}")
     elapsed = time.perf_counter() - t0
     _report(10, "probability lower bound with frozen (3.0, 3.0, 1e-8) "
-                "out of sample; " + "; ".join(details), ok, elapsed, 120.0)
+                "out of sample; " + "; ".join(details), ok, elapsed, 60.0)
 
 
 def test_criterion_11_bandwidth_exponent_trend():

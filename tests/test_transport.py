@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from qptransport.arithmetic import (construct_liouville_frequency,
                                     continued_fraction_expansion)
-from qptransport.errors import InputError, MemoryLimitError, TruncationError
+from qptransport.errors import (InputError, MemoryLimitError, NumericalError,
+                                TruncationError)
+from qptransport.floquet import floquet_eigensystem
 from qptransport.operator import (AmoSampling, Chain, FiniteOperator,
                                   PeriodicModel, ZeroSampling,
                                   finite_operator, periodic_model)
@@ -83,6 +85,65 @@ def dense_distribution(op, time_scale):
         acc = np.einsum('nc,nc->n', b @ kern, b)
         probs += acc[(disp + i) + op.N]
     return probs
+
+
+def bloch_oracle(model, points, displacement):
+    """Oracle for tr._bloch_data: one displacement's eigenvalues and
+    two-entry coefficients, shape (2, points, q), kappa by kappa."""
+    q = model.q
+    kappas = np.arange(points) * (2.0 * math.pi / q) / points
+    lams = np.empty((points, q))
+    coeffs = np.empty((2, points, q), dtype=complex)
+    for m, kap in enumerate(kappas):
+        es = floquet_eigensystem(model, kap)
+        lams[m] = es.eigenvalues
+        for i in (0, 1):
+            g = displacement + i
+            s, r = divmod(g, q)
+            src = i % q
+            shift = i // q  # source delta_1 sits in the next cell when q = 1
+            w = es.eigenvectors[r, :] * np.conj(es.eigenvectors[src, :])
+            phase = np.exp(-1j * q * kap * (s - shift))
+            coeffs[i, m] = phase * w / points
+    return lams, coeffs
+
+
+def floquet_oracle(model, displacement, time_scale, route,
+                   kappa_points=None, config=tr.DEFAULT_CONFIG):
+    """Oracle for tr.abel_probability_floquet: one displacement on its own
+    doubling grid, each grid from bloch_oracle; (value, final grid)."""
+    def value(points):
+        lams, coeffs = bloch_oracle(model, points, displacement)
+        if route == "kernel":
+            columns = np.concatenate([coeffs.real, coeffs.imag]).reshape(4, -1)
+            return float(np.sum(tr._lorentz_form(lams.ravel(), columns.T,
+                                                 time_scale)))
+        lam_flat, c0, c1 = lams.ravel(), coeffs[0].ravel(), coeffs[1].ravel()
+
+        def integrand(energies):
+            energies = np.atleast_1d(energies)
+            out = np.empty(energies.size)
+            for k, e in enumerate(energies):
+                denom = lam_flat - (e + 1j / time_scale)
+                out[k] = abs(np.sum(c0 / denom)) ** 2 + \
+                    abs(np.sum(c1 / denom)) ** 2
+            return out
+
+        return tr._abel_energy_integral(integrand, model.norm_bound + 1.0,
+                                        time_scale, config)
+
+    if kappa_points is not None:
+        return value(kappa_points), kappa_points
+    points, prev = 256, None
+    while points <= config.max_kappa_points:
+        val = value(points)
+        if prev is not None and abs(val - prev) <= 10.0 * \
+                config.energy_rel_tol * max(abs(val), abs(prev), 1e-300) \
+                + 1e-13:
+            return val, points
+        prev = val
+        points *= 2
+    raise AssertionError("the oracle grid did not converge")
 
 
 @st.composite
@@ -331,6 +392,24 @@ class TestTimeRoute:
             pytest.approx(want, rel=1e-4)
 
 
+    def test_memory_preflight_counts_the_eigensolver_workspace(
+            self, monkeypatch):
+        # ?stevd's dim^2 workspace sits beside the dim^2 eigenvectors:
+        # physical memory between the two estimates must refuse the run
+        dim = 2 * tr.truncation_radius(3.0) + 1
+        old = 8 * (dim * dim + tr._COLUMN_CHUNK)
+        new = 8 * (2 * dim * dim + tr._COLUMN_CHUNK)
+        page = os.sysconf("SC_PAGE_SIZE")
+        pages = (old + new) // 2 // page
+        assert old < pages * page < new
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if
+                            name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(tr, "finite_operator", None)
+        with pytest.raises(MemoryLimitError, match=f"dimension {dim}"):
+            tr.probability_distribution(FREE_CHAIN, 3.0)
+
+
 class TestResolventRoute:
     def test_free_lattice_bessel_oracle(self):
         mine = tr.abel_probability_resolvent(FREE_CHAIN, 3, 4.0)
@@ -356,6 +435,14 @@ class TestResolventRoute:
         for i, d in enumerate(disp):
             single = tr.abel_probability_resolvent(chain, d, 5.0)
             assert prof[i] == pytest.approx(single, rel=1e-7)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tr.abel_resolvent_profile(FREE_CHAIN, [0], 1e308),
+        lambda: tr.abel_probability_resolvent(FREE_CHAIN, 0, 1e308),
+    ], ids=["profile", "single"])
+    def test_radius_overflow_is_input_error(self, call):
+        with pytest.raises(InputError, match="no finite resolvent radius"):
+            call()
 
     def test_profile_rejects_empty(self):
         with pytest.raises(InputError):
@@ -409,8 +496,9 @@ class TestFloquetRoute:
 
     def test_kernel_route_is_the_dense_pair_sum(self):
         model = periodic_model(AmoSampling(1.5), Fraction(3, 5), 0.1)
-        lams, coeffs = tr._bloch_data(model, 128, 5)
-        dense = sum(dense_lorentz_form(lams.ravel(), part(coeffs[i].ravel()),
+        lams, coefficients = tr._bloch_data(model, 128, [5])
+        coeffs = coefficients(slice(None))[:, 0]
+        dense = sum(dense_lorentz_form(lams.ravel(), part(coeffs[:, i]),
                                        8403.0)[0]
                     for i in (0, 1) for part in (np.real, np.imag))
         fast = tr.abel_probability_floquet(model, 5, 8403.0, route="kernel",
@@ -441,6 +529,123 @@ class TestFloquetRoute:
             tr.abel_probability_floquet(self.MODEL, 0, -1.0)
         with pytest.raises(InputError):
             tr.abel_probability_floquet(self.MODEL, 0, 5.0, kappa_points=0)
+
+
+@st.composite
+def floquet_windows(draw):
+    """Periods 1-13 (q = 1 puts source site 1 in the next cell), negative,
+    repeated and unsorted displacements, both routes, fixed grids and the
+    doubling (kernel route only: the energy route's adaptive integral on
+    256-point grids is too slow for many examples)."""
+    q = draw(st.integers(1, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model = PeriodicModel.from_potential(rng.uniform(-1.0, 1.0, q))
+    disp = draw(st.lists(st.integers(-2 * q - 2, 2 * q + 2), min_size=1,
+                         max_size=6))
+    route = draw(st.sampled_from(["kernel", "energy"]))
+    if route == "kernel":
+        time_scale = draw(st.floats(20.0, 150.0))
+        kappa_points = draw(st.none() | st.sampled_from([1, 16, 96]))
+    else:
+        time_scale = draw(st.floats(1.0, 6.0))
+        kappa_points = draw(st.sampled_from([1, 8, 24]))
+    return model, disp, time_scale, route, kappa_points
+
+
+@given(floquet_windows())
+@settings(max_examples=30, deadline=None)
+def test_window_matches_one_displacement_oracle(inputs):
+    # the window shares eigensystems and pair sums across displacements;
+    # each value must be the oracle's own, down to the pair sum's rounding
+    # (about 1e-16 of |c|^T L |c|, hence the absolute floor)
+    model, disp, time_scale, route, kappa_points = inputs
+    got = tr.abel_probability_floquet(model, disp, time_scale, route=route,
+                                      kappa_points=kappa_points)
+    want = [floquet_oracle(model, d, time_scale, route, kappa_points)[0]
+            for d in disp]
+    assert got.shape == (len(disp),)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-17)
+
+
+class TestFloquetWindow:
+    MODEL = periodic_model(AmoSampling(1.0), Fraction(1, 3), 0.2)
+
+    def grids_of(self, monkeypatch):
+        """Spy on the grids _bloch_data is called with: [(points, disp)]."""
+        calls = []
+        bloch = tr._bloch_data
+        monkeypatch.setattr(tr, "_bloch_data", lambda m, points, d:
+                            calls.append((points, [int(n) for n in d]))
+                            or bloch(m, points, d))
+        return calls
+
+    def test_scalar_in_float_out(self):
+        p = tr.abel_probability_floquet(self.MODEL, 3, 300.0)
+        assert type(p) is float
+        assert tr.abel_probability_floquet(self.MODEL, [3], 300.0).shape == (1,)
+
+    def test_displacements_stop_on_their_own_grids(self, monkeypatch):
+        # at T = 300 displacements up to 21 stop at 512 kappa points and
+        # those from 24 at 1,024: the later grid solves only for those
+        disp = [39, 0, 24, 21, 0]
+        calls = self.grids_of(monkeypatch)
+        window = tr.abel_probability_floquet(self.MODEL, disp, 300.0)
+        assert calls == [(256, [0, 21, 24, 39]), (512, [0, 21, 24, 39]),
+                         (1024, [24, 39])]
+        for d, got in zip(disp, window):
+            calls.clear()
+            single = tr.abel_probability_floquet(self.MODEL, d, 300.0)
+            assert got == pytest.approx(single, rel=1e-14)
+            assert calls[-1][0] == (512 if d <= 21 else 1024)
+            assert got == pytest.approx(
+                floquet_oracle(self.MODEL, d, 300.0, "kernel")[0], rel=1e-14)
+
+    def test_each_grid_makes_one_eigensolve_per_kappa(self, monkeypatch):
+        solves = []
+        eig = tr.floquet_eigensystem
+        monkeypatch.setattr(tr, "floquet_eigensystem",
+                            lambda m, k: solves.append(k) or eig(m, k))
+        calls = self.grids_of(monkeypatch)
+        tr.abel_probability_floquet(self.MODEL, [0, 24, 39], 300.0)
+        assert len(solves) == sum(points for points, _ in calls)
+
+    def test_columns_split_into_chunks(self, monkeypatch):
+        # 1,000 entries hold one displacement's four columns at q = 3 and
+        # 64 kappa points (768 entries): five pair sums for five columns
+        disp = [-4, 0, 3, 7, 11]
+        whole = tr.abel_probability_floquet(self.MODEL, disp, 300.0,
+                                            kappa_points=64)
+        sums = []
+        form = tr._lorentz_form
+        monkeypatch.setattr(tr, "_COLUMN_CHUNK", 1000)
+        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t:
+                            sums.append(c.shape) or form(lams, c, t))
+        split = tr.abel_probability_floquet(self.MODEL, disp, 300.0,
+                                            kappa_points=64)
+        assert sums == [(192, 4)] * 5
+        np.testing.assert_allclose(split, whole, rtol=1e-14, atol=1e-17)
+
+    def test_energy_route_window_equals_single_calls(self):
+        disp = [2, -1, 4]
+        window = tr.abel_probability_floquet(self.MODEL, disp, 5.0,
+                                             route="energy", kappa_points=32)
+        for d, got in zip(disp, window):
+            assert got == tr.abel_probability_floquet(
+                self.MODEL, d, 5.0, route="energy", kappa_points=32)
+
+    def test_unconverged_window_names_its_displacements(self):
+        # the free period-2 lattice needs 65,536 points at T = 8403; with a
+        # 1,024-point cap neither displacement settles
+        model = PeriodicModel.from_potential([0.0, 0.0])
+        cfg = tr.EvolutionConfig(max_kappa_points=1024)
+        with pytest.raises(NumericalError,
+                           match=r"displacements \[0, 6\] last changed by "
+                                 r"\S+, \S+ at 1024"):
+            tr.abel_probability_floquet(model, [6, 0], 8403.0, cfg)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(InputError, match="displacement"):
+            tr.abel_probability_floquet(self.MODEL, [], 300.0)
 
 
 class TestSubsequenceTimes:

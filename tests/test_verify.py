@@ -100,6 +100,22 @@ class TestTransportSuite:
         assert all(r["p_time"] > 0 for r in rows)
         assert any(r["n"] < 0 for r in rows)
 
+    def test_routes_make_one_floquet_call_per_model_and_time(
+            self, monkeypatch):
+        calls = []
+        floquet = vf.abel_probability_floquet
+        monkeypatch.setattr(vf, "abel_probability_floquet",
+                            lambda m, d, *a, **k: calls.append(list(d))
+                            or floquet(m, d, *a, **k))
+        rep = vf.transport_consistency_suite(models=[Q2_MODEL],
+                                             time_scales=(5.0, 20.0),
+                                             checks=("routes",), max_site=6)
+        assert calls == [[-6, -4, -2, 0, 2, 4, 6]] * 2
+        for row in rep.rows("routes"):
+            assert row["p_floquet"] == pytest.approx(
+                floquet(Q2_MODEL, 2 * row["n"], row["time_scale"],
+                        route="kernel"), rel=1e-14)
+
     def test_all_checks_clean(self):
         rep = vf.transport_consistency_suite(**TRANSPORT_RUN)
         assert rep.violations == 0
@@ -225,6 +241,20 @@ class TestLowerBound:
                                                 rel=1e-6)
         assert scan.window == (1, 115)
         assert scan.fraction_satisfied == 1.0
+
+    def test_window_is_one_floquet_call(self, monkeypatch):
+        calls = []
+        floquet = vf.abel_probability_floquet
+        monkeypatch.setattr(vf, "abel_probability_floquet",
+                            lambda m, d, *a, **k: calls.append(list(d))
+                            or floquet(m, d, *a, **k))
+        scan = vf.lower_bound_scan(Q2_MODEL, full_spectrum(Q2_MODEL), 250.0,
+                                   max_points=5)
+        assert calls == [[2 * n for n, _, _ in scan.pairs]]
+        for n, p, _ in scan.pairs:
+            assert type(p) is float
+            assert p == pytest.approx(floquet(Q2_MODEL, 2 * n, 250.0),
+                                      rel=1e-14)
 
     def test_window_matches_formula(self):
         scan = vf.lower_bound_scan(Q2_MODEL, full_spectrum(Q2_MODEL), 250.0,
