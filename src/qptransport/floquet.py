@@ -171,8 +171,6 @@ class Band:
 class BandStructure:
     model: PeriodicModel
     bands: tuple
-    kappas: np.ndarray = field(repr=False)
-    eigenvalue_grid: np.ndarray = field(repr=False)  # shape (K, q)
     monotone_ok: bool = True
     parity_ok: bool = True
     disjoint_ok: bool = True
@@ -231,8 +229,7 @@ def band_structure(model: PeriodicModel, kappa_grid: int = 64) -> BandStructure:
         if not (np.all(d >= -tol) or np.all(d <= tol)):
             monotone_ok = False
     disjoint_ok = all(bands[j].hi <= bands[j + 1].lo + tol for j in range(q - 1))
-    return BandStructure(model=model, bands=bands, kappas=kappas,
-                         eigenvalue_grid=grid, monotone_ok=monotone_ok,
+    return BandStructure(model=model, bands=bands, monotone_ok=monotone_ok,
                          parity_ok=parity_ok and monotone_ok,
                          disjoint_ok=disjoint_ok)
 

@@ -21,13 +21,9 @@ TWO_PI = 2.0 * math.pi
 
 
 class SamplingFunction:
-    """Real 1-periodic function on the circle, with a Lipschitz constant."""
+    """Real 1-periodic function on the circle."""
 
     def __call__(self, x):
-        raise NotImplementedError
-
-    @property
-    def lipschitz_constant(self) -> float:
         raise NotImplementedError
 
 
@@ -40,10 +36,6 @@ class AmoSampling(SamplingFunction):
     def __call__(self, x):
         return 2.0 * self.coupling * np.cos(TWO_PI * np.asarray(x, dtype=float))
 
-    @property
-    def lipschitz_constant(self) -> float:
-        return 2.0 * TWO_PI * abs(self.coupling)
-
     def __repr__(self):
         return f"AmoSampling(coupling={self.coupling})"
 
@@ -53,10 +45,6 @@ class ZeroSampling(SamplingFunction):
 
     def __call__(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return 0.0
 
     def __repr__(self):
         return "ZeroSampling()"
@@ -77,11 +65,6 @@ class TableSampling(SamplingFunction):
     def __call__(self, x):
         xm = np.asarray(x, dtype=float) % 1.0
         return np.interp(xm, self._xp, self._fp)
-
-    @property
-    def lipschitz_constant(self) -> float:
-        k = self.values.size
-        return float(np.max(np.abs(self._fp[1:] - self._fp[:-1])) * k)
 
     def __repr__(self):
         return f"TableSampling(<{self.values.size} values>)"
@@ -177,9 +160,6 @@ class PeriodicModel:
     def norm_bound(self) -> float:
         return 2.0 + float(np.max(np.abs(self.potential))) if self.q else 2.0
 
-    def site_value(self, n: int) -> float:
-        return float(self.potential[n % self.q])
-
     def extended(self, n_lo: int, n_hi: int) -> np.ndarray:
         idx = np.arange(n_lo, n_hi + 1) % self.q
         return self.potential[idx]
@@ -228,12 +208,6 @@ class FiniteOperator:
     @property
     def norm_bound(self) -> float:
         return 2.0 + float(np.max(np.abs(self.diagonal)))
-
-    def dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        off = np.ones(self.dimension - 1)
-        h += np.diag(off, 1) + np.diag(off, -1)
-        return h
 
     def tridiagonal(self):
         """(diagonal, offdiagonal) bands for banded solvers."""

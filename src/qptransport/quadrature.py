@@ -32,10 +32,6 @@ class QuadratureResult:
     evaluations: int
     panels: int
     deepest: int
-    converged: bool
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def _panel_value(func, a: float, b: float, x, w):
@@ -55,14 +51,13 @@ def _mag(x) -> float:
 
 def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
                        abs_tol: float = 0.0, order: int = 16,
-                       initial_panels: int = 4, max_depth: int = 22,
-                       strict: bool = True) -> QuadratureResult:
+                       initial_panels: int = 4, max_depth: int = 22
+                       ) -> QuadratureResult:
     """Integrate func over [a, b] to a target relative tolerance.
 
     Each panel is compared against the sum over its two halves; panels that
-    disagree are split, down to max_depth halvings.  With strict=True an
-    unconverged panel raises NumericalError instead of being absorbed into
-    the error estimate.
+    disagree are split, down to max_depth halvings; a panel still
+    unconverged there raises NumericalError.
 
     func may return one value per node, or a (nodes, m) array to integrate
     m functions over shared panels; the refinement then follows the worst
@@ -86,7 +81,6 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
     err = 0.0
     panels = 0
     deepest = 0
-    converged = True
     # crude overall scale for the relative test, updated as panels settle
     scale_guess = sum(_mag(v) for (_, _, _, v) in queue) + abs_tol
     while queue:
@@ -99,24 +93,22 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
         disagreement = _mag(fine - coarse)
         budget = (abs_tol + rel_tol * max(scale_guess, _mag(total))) \
             * (hi - lo) / (b - a)
-        if disagreement <= budget or depth >= max_depth:
-            if disagreement > budget:
-                if strict:
-                    raise NumericalError(
-                        f"quadrature panel [{lo}, {hi}] failed to converge "
-                        f"at depth {depth} (disagreement {disagreement:.3e}, "
-                        f"budget {budget:.3e})")
-                converged = False
+        if disagreement <= budget:
             total += fine
             err += disagreement
             panels += 2
             deepest = max(deepest, depth)
+        elif depth >= max_depth:
+            raise NumericalError(
+                f"quadrature panel [{lo}, {hi}] failed to converge "
+                f"at depth {depth} (disagreement {disagreement:.3e}, "
+                f"budget {budget:.3e})")
         else:
             queue.append((lo, mid, depth + 1, left))
             queue.append((mid, hi, depth + 1, right))
 
     return QuadratureResult(value=total, error=err, evaluations=evaluations,
-                            panels=panels, deepest=deepest, converged=converged)
+                            panels=panels, deepest=deepest)
 
 
 def integrate_right_tail(func, e0: float, scale: float = 1.0,

@@ -280,6 +280,30 @@ def gordon_block_statistic(a_matrix, u=None) -> float:
     ))
 
 
+def _paired_orbit(f: SamplingFunction, alpha, alpha_m: Fraction,
+                  theta: float, energy: float, n_max: int | None, u,
+                  backward: bool):
+    """The plain cocycle_orbit from u = (psi(0), psi(-1)) over the sites
+    0..n_max-1 (backward: -1..-n_max) for the true potential (column 0)
+    and its rational approximant's (column 1), which is exactly q-periodic.
+
+    n_max defaults to twice the approximant's denominator q.  The orbit
+    raises NumericalError once either solution passes the overflow guard.
+    """
+    if not isinstance(alpha_m, Fraction):
+        raise InputError("alpha_m must be a Fraction approximant")
+    if n_max is None:
+        n_max = 2 * alpha_m.denominator
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max}")
+    sites = (-n_max, -1) if backward else (0, n_max - 1)
+    v = np.stack([sample_potential(f, alpha, theta, *sites),
+                  sample_potential(f, alpha_m, theta, *sites)], axis=1)
+    a = float(energy) - (v[::-1] if backward else v)
+    return cocycle_orbit(a, np.full(2, float(u[0])), np.full(2, float(u[1])),
+                         backward, renormalize=False)
+
+
 def transfer_difference(f: SamplingFunction, alpha, alpha_m: Fraction,
                         theta: float, energy: float, n_max: int | None = None,
                         u=(1.0, 0.0), backward: bool = False) -> float:
@@ -291,17 +315,6 @@ def transfer_difference(f: SamplingFunction, alpha, alpha_m: Fraction,
     range the Gordon argument inspects).  Raises NumericalError if the
     orbits overflow before n_max.
     """
-    if not isinstance(alpha_m, Fraction):
-        raise InputError("alpha_m must be a Fraction approximant")
-    if n_max is None:
-        n_max = 2 * alpha_m.denominator
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
-    sites = (-n_max, -1) if backward else (0, n_max - 1)
-    # the group's columns: the true and the approximant potential
-    v = np.stack([sample_potential(f, alpha, theta, *sites),
-                  sample_potential(f, alpha_m, theta, *sites)], axis=1)
-    a = float(energy) - (v[::-1] if backward else v)
-    orbit = cocycle_orbit(a, np.full(2, float(u[0])), np.full(2, float(u[1])),
-                          backward, renormalize=False)
+    orbit = _paired_orbit(f, alpha, alpha_m, theta, energy, n_max, u,
+                          backward)
     return max(math.hypot(x[0] - x[1], y[0] - y[1]) for x, y, _ in orbit)

@@ -31,11 +31,10 @@ from .floquet import (band_structure, derivative_sandwich, discriminant,
                       measure_kappa_infimum, measure_uniform_lower_bound,
                       phi_derivative, phi_occupation_measure)
 from .operator import (AmoSampling, Chain, FiniteOperator, PeriodicModel,
-                       finite_operator, periodic_model, sample_potential)
+                       finite_operator, periodic_model)
 from .quadrature import adaptive_integrate
-from .transfer import (cocycle_orbit, min_lyapunov_on_spectrum,
-                       lyapunov_exponent, transfer_difference,
-                       transfer_product)
+from .transfer import (_paired_orbit, lyapunov_exponent,
+                       min_lyapunov_on_spectrum)
 from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
                         _check_time_scale, abel_horizon,
                         abel_probability_floquet, abel_probability_time,
@@ -821,39 +820,6 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
 # Gordon diagnostic
 # ---------------------------------------------------------------------------
 
-def _quasi_block_statistic(f, alpha, theta, energy, q, u):
-    """max over the four double-period block values of the true orbit:
-    forward/backward solutions sampled at one and two periods."""
-    u = np.asarray(u, dtype=float)
-    vals = []
-    for backward, sites in ((False, (0, 2 * q - 1)), (True, (-2 * q, -1))):
-        v = sample_potential(f, alpha, theta, *sites)
-        orbit = cocycle_orbit(energy - (v[::-1] if backward else v),
-                              u[:1], u[1:], backward, renormalize=False)
-        vals += [math.hypot(x[0], y[0])
-                 for n, (x, y, _) in enumerate(orbit, 1) if n % q == 0]
-    return max(vals)
-
-
-def _scaled_block_statistic(block, u):
-    """gordon_block_statistic for a scaled transfer product.
-
-    Works at scales where reassembling the unscaled matrix would lose the
-    determinant to cancellation: det A = 1 makes A^-1 the adjugate of A,
-    so all four values come from the O(1) scaled matrix and the log
-    factor.
-    """
-    m = block.matrix_scaled
-    s = block.log_scale
-    adj = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    logs = [s + math.log(max(np.linalg.norm(m @ u), 1e-300)),
-            2 * s + math.log(max(np.linalg.norm(m @ (m @ u)), 1e-300)),
-            s + math.log(max(np.linalg.norm(adj @ u), 1e-300)),
-            2 * s + math.log(max(np.linalg.norm(adj @ (adj @ u)), 1e-300))]
-    top = max(logs)
-    return math.exp(top) if top < 700.0 else math.inf
-
-
 def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
                       theta: float = 0.0, u=(1.0, 0.0),
                       max_orbit: int = 1_000_000) -> VerificationReport:
@@ -863,9 +829,11 @@ def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
     satisfies max(||A^2 u||, ||A u||, ||A^-1 u||, ||A^-2 u||) >= 1/2; the
     quasiperiodic orbit's matching four values must then stay above
     1/2 - difference, where difference is the worst applied-vector gap
-    between the two orbits over two periods (both directions).  Overflow
-    at a depth, or an orbit longer than max_orbit, truncates the report
-    there.
+    between the two orbits over two periods (both directions).  One paired
+    orbit per direction yields all three: the gaps, the quasiperiodic
+    values and the periodic block values.  Overflow at a depth, a
+    convergent outside (0, 1), or an orbit longer than max_orbit,
+    truncates the report there.
     """
     depths = [int(m) for m in np.atleast_1d(depths)]
     if not depths:
@@ -886,23 +854,27 @@ def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
             truncated_at = m
             reason = f"orbit length {2 * qm} exceeds max_orbit {max_orbit}"
             break
+        # column 0 is the true orbit, column 1 the approximant's, whose
+        # values at n = q and 2q are A u and A^2 u for the period block A
+        # (A^-1 u and A^-2 u backward)
+        gaps, quasi_values, periodic_values = [], [], []
         try:
-            d_fwd = transfer_difference(f, alpha, am, theta, energy,
-                                        n_max=2 * qm, u=u_arr)
-            d_bwd = transfer_difference(f, alpha, am, theta, energy,
-                                        n_max=2 * qm, u=u_arr, backward=True)
-            quasi = _quasi_block_statistic(f, alpha, theta, energy, qm,
-                                           u_arr)
-            block = transfer_product(Chain(f, am, theta), energy, 0, qm - 1)
-            if abs(block.det_log) > 1e-6:
-                raise NumericalError(
-                    "periodic block determinant drifted: log|det| = "
-                    f"{block.det_log:.3e}")
-            stat_p = _scaled_block_statistic(block, u_arr)
-        except (NumericalError, OverflowError, InputError) as exc:
+            for backward in (False, True):
+                orbit = _paired_orbit(f, alpha, am, theta, energy, 2 * qm,
+                                      u_arr, backward)
+                steps = []
+                for n, (x, y, _) in enumerate(orbit, 1):
+                    steps.append(math.hypot(x[0] - x[1], y[0] - y[1]))
+                    if n % qm == 0:
+                        quasi_values.append(math.hypot(x[0], y[0]))
+                        periodic_values.append(math.hypot(x[1], y[1]))
+                gaps.append(max(steps))
+        except (NumericalError, InputError) as exc:
             truncated_at = m
             reason = str(exc)
             break
+        d_fwd, d_bwd = gaps
+        quasi, stat_p = max(quasi_values), max(periodic_values)
         difference = max(d_fwd, d_bwd)
         bound = 0.5 - difference
         margin = quasi - bound

@@ -16,8 +16,9 @@ from qptransport.errors import DepthLimitError, InputError, ThresholdError
 from qptransport.floquet import band_structure
 from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
                                   TableSampling, ZeroSampling,
-                                  periodic_model)
-from qptransport.transfer import gordon_block_statistic, transfer_product
+                                  periodic_model, sample_potential)
+from qptransport.transfer import (cocycle_orbit, gordon_block_statistic,
+                                  transfer_difference, transfer_product)
 from qptransport.transport import EvolutionConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -357,6 +358,20 @@ class TestBandwidth:
         assert exc.value.achieved_depth == 1
 
 
+def _quasi_block_oracle(f, alpha, theta, energy, q, u):
+    """max over the four double-period block values of the true orbit:
+    forward/backward solutions sampled at one and two periods."""
+    u = np.asarray(u, dtype=float)
+    vals = []
+    for backward, sites in ((False, (0, 2 * q - 1)), (True, (-2 * q, -1))):
+        v = sample_potential(f, alpha, theta, *sites)
+        orbit = cocycle_orbit(energy - (v[::-1] if backward else v),
+                              u[:1], u[1:], backward, renormalize=False)
+        vals += [math.hypot(x[0], y[0])
+                 for n, (x, y, _) in enumerate(orbit, 1) if n % q == 0]
+    return max(vals)
+
+
 class TestGordon:
     def test_rational_frequency_zero_difference(self):
         freq = continued_fraction_expansion(0.625)
@@ -369,19 +384,64 @@ class TestGordon:
         assert row["statistic_quasi"] >= 0.5 - 1e-9
         assert rep.violations == 0
 
-    def test_quasi_blocks_match_periodic_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            values = rng.uniform(-2.0, 2.0, 4)
-            f = TableSampling(values)
-            alpha = Fraction(1, 4)
-            energy = float(rng.uniform(-3.0, 3.0))
-            quasi = vf._quasi_block_statistic(f, alpha, 0.0, energy, 4,
-                                              np.array([1.0, 0.0]))
-            block = transfer_product(Chain(f, alpha, 0.0), energy, 0, 3)
-            a = block.matrix_scaled * math.exp(block.log_scale)
-            assert quasi == pytest.approx(gordon_block_statistic(a),
-                                          rel=1e-9)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_four_block_rows_match_oracles(self, seed):
+        # the one paired orbit per direction against the period block's
+        # four images, each direction of the true orbit run alone, and
+        # the orbit difference, on energies inside and outside the spectrum.
+        # The block oracle inverts A through a floating-point determinant,
+        # whose rounding grows like eps ||A||^2, so the draws keep the
+        # coupling weak and q <= 8.
+        rng = np.random.default_rng(seed)
+        f = TableSampling(rng.uniform(-1.0, 1.0, int(rng.integers(3, 8)))) \
+            if seed % 2 else AmoSampling(float(rng.uniform(0.2, 1.0)))
+        freq = continued_fraction_expansion(GOLDEN, max_terms=10) \
+            if seed % 3 == 0 else \
+            continued_fraction_expansion(float(rng.uniform(0.2, 0.8)))
+        depths = [m for m in range(1, freq.depth + 1)
+                  if 1 < freq.convergent(m).denominator <= 8]
+        deep = band_structure(periodic_model(f, freq.convergent(depths[-1])))
+        inside = deep.band(int(rng.integers(1, deep.q + 1))).center
+        outside = deep.band(deep.q).hi + float(rng.uniform(0.01, 0.05))
+        for energy in (inside, outside):
+            theta = float(rng.uniform(0.0, 1.0))
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            u = (math.cos(angle), math.sin(angle))
+            rep = vf.gordon_diagnostic(f, freq, energy, depths, theta=theta,
+                                       u=u)
+            assert [row["depth"] for row in rep.artifacts] == depths
+            for row in rep.artifacts:
+                am = freq.convergent(row["depth"])
+                q = am.denominator
+                block = transfer_product(Chain(f, am, theta), energy, 0,
+                                         q - 1).matrix
+                assert row["statistic_periodic"] == pytest.approx(
+                    gordon_block_statistic(block, u), rel=1e-12, abs=0.0)
+                assert row["statistic_quasi"] == _quasi_block_oracle(
+                    f, freq.float_value, theta, energy, q, u)
+                for backward, key in ((False, "difference_forward"),
+                                      (True, "difference_backward")):
+                    assert row[key] == transfer_difference(
+                        f, freq.float_value, am, theta, energy, u=u,
+                        backward=backward)
+
+    def test_overflow_truncates_at_its_depth(self):
+        golden = continued_fraction_expansion(GOLDEN, max_terms=10)
+        rep = vf.gordon_diagnostic(AmoSampling(2.0), golden, 1000.0,
+                                   [4, 9, 10])
+        assert rep.config_snapshot["truncated_at_depth"] == 9
+        assert rep.config_snapshot["truncation_reason"] == \
+            "transfer orbit overflows at step 83 (|psi| > 1e250)"
+        assert [row["depth"] for row in rep.artifacts] == [4]
+
+    def test_unit_convergent_truncates(self):
+        # the golden mean's first convergent is 1/1, not a frequency in (0, 1)
+        golden = continued_fraction_expansion(GOLDEN, max_terms=10)
+        rep = vf.gordon_diagnostic(AmoSampling(2.0), golden, 0.5, [1])
+        assert rep.config_snapshot["truncated_at_depth"] == 1
+        assert rep.config_snapshot["truncation_reason"] == \
+            "frequency must lie in (0, 1), got 1"
+        assert rep.instances == 0
 
     def test_liouville_difference_decreases(self):
         # Weak coupling keeps the local growth rate small, and the probe
