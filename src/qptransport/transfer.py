@@ -258,20 +258,24 @@ def gordon_block_statistic(a_matrix, u=None) -> float:
     """max(||A^2 u||, ||A u||, ||A^-1 u||, ||A^-2 u||) for unimodular A.
 
     The classical four-block fact guarantees this is >= 1/2 for any 2x2 A
-    with det A = 1 and unit u.
+    with det A = 1 and unit u.  det A is accepted within 1e-8 plus the
+    rounding of the two products it cancels, 4 eps (|a00 a11| + |a01 a10|),
+    so large genuine period blocks pass; A^-1 is the adjugate.
     """
     a = np.asarray(a_matrix, dtype=float)
     if a.shape != (2, 2):
         raise InputError(f"A must be 2x2, got shape {a.shape}")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det - 1.0) > 1e-8:
+    diag, anti = a[0, 0] * a[1, 1], a[0, 1] * a[1, 0]
+    det = diag - anti
+    if abs(det - 1.0) > 1e-8 + 4.0 * np.finfo(float).eps * (abs(diag)
+                                                            + abs(anti)):
         raise InputError(f"A must be unimodular: det = {det!r}")
     if u is None:
         u = np.array([1.0, 0.0])
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise InputError(f"u must be a unit vector, got norm {np.linalg.norm(u)}")
-    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
     return float(max(
         np.linalg.norm(a @ (a @ u)),
         np.linalg.norm(a @ u),

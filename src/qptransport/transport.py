@@ -13,10 +13,11 @@ whose sum over n is exactly 2.  Routes:
     integral is done in closed form through the Lorentzian kernel
     (4/T^2) / ((lambda_k - lambda_k')^2 + 4/T^2), so its only errors are
     lattice truncation (checked by a boundary-mass diagnostic).  Each
-    site's probability is one column c^T L c of the fast pair sum, the
-    columns of both entries for a chunk of sites in one call; a truncation
-    whose dense eigenvectors would not fit in physical memory is refused
-    before anything is built;
+    displacement's probability is two columns c^T L c of the fast pair
+    sum, and only the requested displacements' columns are built, both
+    entries of a chunk of them per call; a truncation whose dense
+    eigenvectors would not fit in physical memory is refused before
+    anything is built;
   * resolvent route: Plancherel form (1/(pi T)) integral |G(E + i/T)|^2 dE
     with banded solves and adaptive energy panels, exterior tails mapped to
     a bounded interval;
@@ -270,23 +271,70 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
     return total
 
 
-def abel_probability_time(source, displacement: int, time_scale: float,
+def abel_probability_time(source, displacement, time_scale: float,
                           config: EvolutionConfig = DEFAULT_CONFIG,
-                          radius: int | None = None) -> float:
-    """P(n; T) through the truncated eigendecomposition.
+                          radius: int | None = None):
+    """P(n; T) through the truncated eigendecomposition, for one
+    displacement (a float back) or an array of them (an array back;
+    negative, repeated and unsorted entries allowed).
 
     The Abel time integral of each |amplitude|^2 is evaluated exactly via
     the Lorentzian eigenvalue kernel; the lattice cutoff is validated by a
-    boundary-mass check at the Abel horizon.
+    boundary-mass check at the Abel horizon.  One eigendecomposition serves
+    the whole window, and only the window's columns are summed.
     """
-    displacement = int(displacement)
-    n_extent = max(abs(displacement), abs(displacement + 1))
+    disp, answer = _window(displacement)
+    n_extent = max(abs(int(disp[0])), abs(int(disp[-1]) + 1))
     op = _time_operator(source, radius, time_scale, n_extent, config)
+    # both entries of every displacement must be lattice sites
+    op.site_index(int(disp[0]))
+    op.site_index(int(disp[-1]) + 1)
     _check_truncation(op, time_scale, config)
+    return answer(_time_values(op, time_scale, disp))
+
+
+def _window(displacement):
+    """The sorted distinct entries of one displacement or an array of them,
+    and the function that returns their values in the caller's form: a
+    float for one displacement, an array in the given order (repeats
+    included) for an array."""
+    disp = np.array([int(n) for n in np.atleast_1d(displacement)],
+                    dtype=np.int64)
+    if not disp.size:
+        raise InputError("need at least one displacement")
+    disp, inverse = np.unique(disp, return_inverse=True)
+
+    def answer(values):
+        values = values[inverse]
+        return float(values[0]) if np.ndim(displacement) == 0 else values
+
+    return disp, answer
+
+
+def _time_values(op: FiniteOperator, time_scale: float,
+                 disp: np.ndarray) -> np.ndarray:
+    """P(d; T) on op for each displacement d of disp (inside the lattice
+    with d + 1): the two-entry columns u[d + i] * u[i], i = 0, 1, through
+    the Lorentz form, at most _COLUMN_CHUNK coefficients per call."""
     w, u = op.eigensystem()
-    coeffs = np.stack([u[op.site_index(displacement + i), :]
-                       * u[op.site_index(i), :] for i in (0, 1)], axis=1)
-    return float(np.sum(_lorentz_form(w, coeffs, time_scale)))
+    u0, u1 = u[op.site_index(0)], u[op.site_index(1)]
+    rows = disp + op.N  # entry i of displacement d sits at row d + N + i
+    out = np.empty(disp.size)
+    step = max(1, _COLUMN_CHUNK // (2 * op.dimension))
+    for lo in range(0, disp.size, step):
+        r = rows[lo:lo + step]
+        m = r.size
+        # a run of consecutive rows (the whole distribution) is read in
+        # place; a sparse window gathers its few rows
+        run = r[-1] - r[0] == m - 1
+        rows0 = u[r[0]:r[0] + m] if run else u[r]
+        rows1 = u[r[0] + 1:r[0] + m + 1] if run else u[r + 1]
+        coeffs = np.empty((op.dimension, 2 * m))
+        np.multiply(rows0.T, u0[:, None], out=coeffs[:, :m])
+        np.multiply(rows1.T, u1[:, None], out=coeffs[:, m:])
+        vals = _lorentz_form(w, coeffs, time_scale)
+        out[lo:lo + m] = vals[:m] + vals[m:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -320,22 +368,9 @@ def probability_distribution(source, time_scale: float,
     """
     op = _time_operator(source, radius, time_scale, 1, config)
     leak = _check_truncation(op, time_scale, config)
-    w, u = op.eigensystem()
-    u0, u1 = u[op.site_index(0)], u[op.site_index(1)]
-
-    # both entries exist for the displacements -N .. N-1; entry i of
-    # displacement d sits at site d + i, row k + i for d = disp[k]
+    # both entries exist for the displacements -N .. N-1
     disp = np.arange(-op.N, op.N)
-    probs = np.empty(disp.size)
-    step = max(1, _COLUMN_CHUNK // (2 * op.dimension))
-    for lo in range(0, disp.size, step):
-        hi = min(lo + step, disp.size)
-        m = hi - lo
-        coeffs = np.empty((op.dimension, 2 * m))
-        np.multiply(u[lo:hi].T, u0[:, None], out=coeffs[:, :m])
-        np.multiply(u[lo + 1:hi + 1].T, u1[:, None], out=coeffs[:, m:])
-        vals = _lorentz_form(w, coeffs, time_scale)
-        probs[lo:hi] = vals[:m] + vals[m:]
+    probs = _time_values(op, time_scale, disp)
     return TransportDistribution(time_scale=float(time_scale),
                                  displacements=disp, probabilities=probs,
                                  radius=op.N, boundary_leak=leak)
@@ -424,13 +459,14 @@ def _abel_energy_integral(integrand, bound: float, time_scale: float,
                                  rel_tol=config.energy_rel_tol,
                                  initial_panels=panels)
     # the tails are a small correction; resolving them below the accuracy
-    # already granted to the central part would chase rounding noise
+    # already granted to the central part would chase rounding noise.  They
+    # are smooth, so each starts from one panel and refines where needed
     floor = config.energy_rel_tol * max(
         float(np.max(np.abs(central.value))), 1e-300)
-    right = integrate_right_tail(integrand, bound, scale=2.0 * bound,
-                                 rel_tol=config.energy_rel_tol, abs_tol=floor)
-    left = integrate_left_tail(integrand, -bound, scale=2.0 * bound,
-                               rel_tol=config.energy_rel_tol, abs_tol=floor)
+    tail = dict(scale=2.0 * bound, rel_tol=config.energy_rel_tol,
+                abs_tol=floor, initial_panels=1)
+    right = integrate_right_tail(integrand, bound, **tail)
+    left = integrate_left_tail(integrand, -bound, **tail)
     return (central.value + left.value + right.value) / (math.pi * time_scale)
 
 
@@ -508,16 +544,7 @@ def abel_probability_floquet(model: PeriodicModel, displacement,
         route = "kernel" if time_scale > 200.0 else "energy"
     if route not in ("energy", "kernel"):
         raise InputError(f"unknown route {route!r}")
-    disp = np.array([int(n) for n in np.atleast_1d(displacement)],
-                    dtype=np.int64)
-    if not disp.size:
-        raise InputError("need at least one displacement")
-    disp, inverse = np.unique(disp, return_inverse=True)
-
-    def answer(values):
-        values = values[inverse]
-        return float(values[0]) if np.ndim(displacement) == 0 else values
-
+    disp, answer = _window(displacement)
     if kappa_points is not None:
         if int(kappa_points) < 1:
             raise InputError(

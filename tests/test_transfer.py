@@ -280,6 +280,24 @@ class TestGordonStatistic:
         with pytest.raises(InputError):
             gordon_block_statistic(2.0 * np.eye(2))
 
+    @pytest.mark.parametrize("energy", [3.0, 3.5])
+    def test_accepts_large_period_blocks(self, energy):
+        # the 5/13 block at these energies has entries up to 2e4 and 8e5, so
+        # its floating-point det (0.99999997 and 1.0000153) misses 1 by more
+        # than 1e-8 but stays within the rounding of a00 a11 - a01 a10
+        model = periodic_model(AmoSampling(1.0), Fraction(5, 13), 0.1)
+        a = np.asarray(transfer_product(model, energy, 0, 12).matrix)
+        # det A = 1 by contract, so A^-1 is the adjugate, not adj / det
+        adj = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+        u = np.array([1.0, 0.0])
+        want = max(np.linalg.norm(a @ (a @ u)), np.linalg.norm(a @ u),
+                   np.linalg.norm(adj @ u), np.linalg.norm(adj @ (adj @ u)))
+        assert gordon_block_statistic(a) == pytest.approx(want, rel=1e-15)
+
+    def test_rejects_small_det_drift_of_a_small_block(self):
+        with pytest.raises(InputError):
+            gordon_block_statistic(np.array([[1.0, 1e-3], [0.0, 1.001]]))
+
     def test_rejects_non_unit_vector(self):
         with pytest.raises(InputError):
             gordon_block_statistic(np.eye(2), u=[1.0, 1.0])

@@ -220,6 +220,81 @@ def test_distribution_matches_dense_kernel(time_scale, extra, coupling,
     assert np.all(np.abs(dist.probabilities - dense) <= 1e-12 * 2.0)
 
 
+@st.composite
+def time_windows(draw):
+    """AMO chains and periodic models (q = 1 to 7) at small T, windows of
+    negative, repeated and unsorted displacements that fit in the lattice
+    of their largest entry."""
+    time_scale = draw(st.floats(0.5, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        source = Chain(AmoSampling(draw(st.floats(0.0, 3.0))), GOLDEN,
+                       draw(st.floats(0.0, 1.0)))
+    else:
+        source = PeriodicModel.from_potential(
+            rng.uniform(-1.5, 1.5, draw(st.integers(1, 7))))
+    disp = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=8))
+    return source, disp, time_scale
+
+
+@given(time_windows())
+@settings(max_examples=25, deadline=None)
+def test_time_window_matches_single_calls_and_distribution(inputs):
+    # the window sums many displacements' columns per Lorentz form call;
+    # on one lattice each value must still be its one-displacement call's
+    # and the distribution's, down to the pair sum's rounding: 1e-15 of
+    # |c|^T L |c| over both entries (P itself may be far smaller)
+    source, disp, time_scale = inputs
+    n_extent = max(max(abs(d), abs(d + 1)) for d in disp)
+    op = finite_operator(source, tr.truncation_radius(time_scale, n_extent))
+    window = tr.abel_probability_time(op, disp, time_scale)
+    assert window.shape == (len(disp),)
+    dist = tr.probability_distribution(op, time_scale)
+    w, u = op.eigensystem()
+    for d, got in zip(disp, window):
+        single = tr.abel_probability_time(op, d, time_scale)
+        assert type(single) is float
+        scale = sum(dense_lorentz_form(
+            w, np.abs(u[op.site_index(d + i)] * u[op.site_index(i)]),
+            time_scale)[0] for i in (0, 1))
+        assert abs(got - single) <= 1e-15 * scale + 1e-18
+        assert abs(got - dist.probability(d)) <= 1e-15 * scale + 1e-18
+
+
+class TestTimeWindow:
+    MODEL = periodic_model(AmoSampling(1.0), Fraction(1, 3), 0.2)
+
+    def test_scalar_in_float_out(self):
+        p = tr.abel_probability_time(self.MODEL, 3, 5.0)
+        assert type(p) is float
+        assert tr.abel_probability_time(self.MODEL, [3], 5.0).shape == (1,)
+
+    def test_columns_split_into_chunks(self, monkeypatch):
+        # at dimension 371 one displacement's two columns are 742 entries,
+        # so a 1,500-entry chunk holds two: three Lorentz form calls
+        disp = [-4, 0, 3, 7, 11]
+        whole = tr.abel_probability_time(self.MODEL, disp, 5.0)
+        shapes = []
+        form = tr._lorentz_form
+        monkeypatch.setattr(tr, "_COLUMN_CHUNK", 1500)
+        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t:
+                            shapes.append(c.shape) or form(lams, c, t))
+        split = tr.abel_probability_time(self.MODEL, disp, 5.0)
+        assert shapes == [(371, 4), (371, 4), (371, 2)]
+        np.testing.assert_allclose(split, whole, rtol=1e-15, atol=1e-18)
+
+    def test_window_outside_the_lattice_rejected(self):
+        op = finite_operator(self.MODEL, 200)
+        with pytest.raises(InputError, match="outside"):
+            tr.abel_probability_time(op, [0, 200], 5.0)
+        with pytest.raises(InputError, match="outside"):
+            tr.abel_probability_time(op, [-201, 0], 5.0)
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(InputError, match="displacement"):
+            tr.abel_probability_time(self.MODEL, [], 5.0)
+
+
 class TestRadii:
     def test_horizon_formula(self):
         assert tr.abel_horizon(10.0, 1e-6) == pytest.approx(

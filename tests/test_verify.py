@@ -117,6 +117,29 @@ class TestTransportSuite:
                 floquet(Q2_MODEL, 2 * row["n"], row["time_scale"],
                         route="kernel"), rel=1e-14)
 
+    def test_routes_make_one_time_call_per_model_and_time(self, monkeypatch):
+        calls = []
+        time_route = vf.abel_probability_time
+        monkeypatch.setattr(vf, "abel_probability_time",
+                            lambda m, d, *a, **k: calls.append(list(d))
+                            or time_route(m, d, *a, **k))
+
+        def no_distribution(*args, **kwargs):
+            raise AssertionError("the routes check needs only its window")
+
+        monkeypatch.setattr(vf, "probability_distribution", no_distribution)
+        rep = vf.transport_consistency_suite(models=[Q2_MODEL],
+                                             time_scales=(5.0, 20.0),
+                                             checks=("routes",), max_site=6)
+        assert calls == [[-6, -4, -2, 0, 2, 4, 6]] * 2
+        for row in rep.rows("routes"):
+            # the window's lattice is the one its largest entry (6, 7) needs
+            radius = vf.truncation_radius(row["time_scale"], 7)
+            assert type(row["p_time"]) is float
+            assert row["p_time"] == pytest.approx(
+                time_route(Q2_MODEL, 2 * row["n"], row["time_scale"],
+                           radius=radius), rel=1e-14)
+
     def test_all_checks_clean(self):
         rep = vf.transport_consistency_suite(**TRANSPORT_RUN)
         assert rep.violations == 0
