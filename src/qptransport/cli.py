@@ -7,9 +7,8 @@ for every parameter: command-line flag > config-file entry > built-in
 default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
-library versions, seed, and timings; `qpt --from-manifest m.json`
-re-executes that configuration and regenerates the data artifacts
-byte-for-byte.
+library versions and timings; `qpt --from-manifest m.json` re-executes
+that configuration and regenerates the data artifacts byte-for-byte.
 
 Exit codes: 0 success, 1 numerical or module-level failure (and verify
 runs that found violations, and sweeps with failed points), 2 usage.
@@ -45,7 +44,7 @@ from .floquet import band_structure, discriminant, measure_uniform_lower_bound
 from .operator import (AmoSampling, Chain, TableSampling, ZeroSampling,
                        periodic_model)
 from .transfer import lyapunov_exponent
-from .transport import moments, probability_distribution
+from .transport import moments, probability_distribution, truncation_radius
 from .verify import (CHECKS, floquet_identity_suite, suite_checks,
                      theorem_demo, transport_consistency_suite)
 
@@ -241,6 +240,9 @@ def parse_axis(text: str, name: str, integer: bool = False):
 # command runners: cfg dict -> (exit_code, summary, artifact names, extra)
 
 def _run_freq(cfg: dict, out: Path):
+    if cfg["freq"] is None:
+        raise UsageError("freq needs a spec: p/q, a float, or "
+                         "liouville:beta=B,q1=Q,depth=D")
     freq = build_frequency(cfg["freq"])
     doc = freq.to_json_dict()
     write_json(out / "freq.json", doc)
@@ -299,7 +301,7 @@ def _run_measure(cfg: dict, out: Path):
     return 0, summary, ["measure.json"], {"eta": res.eta}
 
 
-def _run_lyapunov(cfg: dict, out: Path):
+def _lyapunov_rows(cfg: dict) -> list:
     f = build_sampling(cfg)
     alpha = chain_alpha(cfg["freq"])
     if cfg["energies"]:
@@ -316,6 +318,11 @@ def _run_lyapunov(cfg: dict, out: Path):
                                 theta_mode=cfg["theta_mode"],
                                 seed=cfg["seed"])
         rows.append((e, est.gamma_hat, est.stderr))
+    return rows
+
+
+def _run_lyapunov(cfg: dict, out: Path):
+    rows = _lyapunov_rows(cfg)
     write_csv(out / "lyapunov.csv", ("energy", "gamma_hat", "stderr"), rows)
     gmin = min(r[1] for r in rows)
     summary = (f"lyapunov {len(rows)} energies, min gamma_hat={gmin:.6g} "
@@ -339,22 +346,32 @@ def _run_transport(cfg: dict, out: Path):
     return 0, summary, ["transport.csv"], {"total_mass": dist.total_mass}
 
 
+def _moments(cfg: dict):
+    chain = Chain(build_sampling(cfg), chain_alpha(cfg["freq"]), cfg["theta"])
+    return moments(chain, cfg["time_scale"], orders=cfg["orders"],
+                   radius=cfg["radius"])
+
+
 def _run_moments(cfg: dict, out: Path):
-    f = build_sampling(cfg)
-    chain = Chain(f, chain_alpha(cfg["freq"]), cfg["theta"])
-    mom = moments(chain, cfg["time_scale"], orders=cfg["orders"],
-                  radius=cfg["radius"])
-    rows = [(p, v, v / cfg["time_scale"] ** p if p > 0 else v)
+    t = cfg["time_scale"]
+    # moments.csv divides M_p by T^p: an order whose T^p overflows or
+    # underflows is a usage error once T has a finite lattice (else InputError)
+    truncation_radius(t)
+    for p in cfg["orders"]:
+        try:
+            fits = not 0 < p < math.inf or t ** p > 0
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise UsageError(f"order {p:g}: T^p = {t:g}^{p:g} leaves the "
+                             "float range")
+    mom = _moments(cfg)
+    rows = [(p, v, v / t ** p if p > 0 else v)
             for p, v in zip(mom.orders, mom.values)]
     write_csv(out / "moments.csv", ("order", "moment", "moment_over_Tp"), rows)
     parts = " ".join(f"M_{p:g}={v:.6g}" for p, v in zip(mom.orders, mom.values))
-    summary = f"moments T={cfg['time_scale']:.6g} {parts}"
-    return 0, summary, ["moments.csv"], {"values": list(mom.values)}
-
-
-def _rows_to_csv(path: Path, rows) -> None:
-    keys = sorted({k for row in rows for k in row})
-    write_csv(path, keys, [[row.get(k) for k in keys] for row in rows])
+    return 0, f"moments T={t:.6g} {parts}", ["moments.csv"], \
+        {"values": list(mom.values)}
 
 
 #: the verification suites, in the order verify.CHECKS lists them
@@ -386,7 +403,9 @@ def _run_verify(cfg: dict, out: Path):
                 time_scales=tuple(cfg["time_scales"]), checks=chosen,
                 max_site=cfg["max_site"])
         fname = f"verify_{name}.csv"
-        _rows_to_csv(out / fname, rep.artifacts)
+        keys = sorted({k for row in rep.artifacts for k in row})
+        write_csv(out / fname, keys,
+                  [[row.get(k) for k in keys] for row in rep.artifacts])
         artifacts.append(fname)
         results[name] = {"instances": rep.instances,
                          "violations": rep.violations,
@@ -435,12 +454,33 @@ def _run_theorem_demo(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # sweep
 
-#: sweep axis -> the flag (and INI key) that gives its grid
+#: sweep axis -> the config key (flag, INI key) that gives its grid
 SWEEP_AXES = {"lam": "lambdas", "theta": "thetas", "energy": "energies",
               "time": "times", "depth": "depths"}
-#: the axes each point command reads
+#: point command -> the axes its point reads
 POINT_AXES = {"moments": ("lam", "theta", "time", "depth"),
               "lyapunov": ("lam", "energy", "depth")}
+
+
+def _point_config(cfg: dict, point: dict) -> dict:
+    """The point command's config at one grid point: each axis replaces
+    the config key it varies, and a lyapunov point off an energy axis
+    sits at E = 0."""
+    sub = {**cfg, "lam": point.get("lam", cfg["lam"]),
+           "theta": point.get("theta", cfg["theta"]),
+           "time_scale": point.get("time", cfg["time_scale"]),
+           "energies": [point.get("energy", 0.0)]}
+    if "depth" in point:
+        spec = dict(cfg["freq"])
+        if spec["kind"] == "liouville":
+            spec["depth"] = point["depth"]
+        else:
+            freq = build_frequency(spec)
+            conv = freq.convergent(min(point["depth"], freq.depth))
+            spec = {"kind": "rational", "num": conv.numerator,
+                    "den": conv.denominator}
+        sub["freq"] = spec
+    return sub
 
 
 def _failed_point(task: dict, exc: BaseException) -> dict:
@@ -451,32 +491,13 @@ def _failed_point(task: dict, exc: BaseException) -> dict:
 def _sweep_eval(task: dict) -> dict:
     """One grid point, executed in a worker process."""
     try:
-        cfg = task["cfg"]
-        point = task["point"]
-        f = build_sampling({**cfg, **point})
-        freq_spec = dict(cfg["freq"])
-        if "depth" in point:
-            if freq_spec["kind"] == "liouville":
-                freq_spec["depth"] = point["depth"]
-            else:
-                freq = build_frequency(freq_spec)
-                conv = freq.convergent(min(point["depth"], freq.depth))
-                freq_spec = {"kind": "rational", "num": conv.numerator,
-                             "den": conv.denominator}
-        alpha = chain_alpha(freq_spec)
-        theta = point.get("theta", cfg["theta"])
-        if cfg["command"] == "moments":
-            t = point.get("time", cfg["time_scale"])
-            mom = moments(Chain(f, alpha, theta), t, orders=cfg["orders"],
-                          radius=cfg["radius"])
+        cfg = _point_config(task["cfg"], task["point"])
+        if cfg["point_command"] == "moments":
+            mom = _moments(cfg)
             values = {f"m_{p:g}": v for p, v in zip(mom.orders, mom.values)}
         else:
-            e = point.get("energy", 0.0)
-            est = lyapunov_exponent(f, alpha, e, n_steps=cfg["n_steps"],
-                                    theta_count=cfg["theta_count"],
-                                    theta_mode=cfg["theta_mode"],
-                                    seed=cfg["seed"])
-            values = {"gamma_hat": est.gamma_hat, "stderr": est.stderr}
+            (_, gamma, stderr), = _lyapunov_rows(cfg)
+            values = {"gamma_hat": gamma, "stderr": stderr}
         return {"index": task["index"], "ok": True, "values": values}
     except (QptError, UsageError, FloatingPointError, np.linalg.LinAlgError,
             MemoryError) as exc:
@@ -498,14 +519,15 @@ def _pooled_result(future, task: dict, alone: bool = False) -> dict:
 
 
 def _run_sweep(cfg: dict, out: Path):
-    readable = POINT_AXES[cfg["command"]]
+    command = cfg["point_command"]
+    readable = POINT_AXES[command]
     flags = "/".join(f"--{SWEEP_AXES[a]}" for a in readable)
-    ignored = [f"--{SWEEP_AXES[a]}" for a in cfg["axes"] if a not in readable]
+    axes = [(a, cfg[key]) for a, key in SWEEP_AXES.items()
+            if cfg[key] is not None]
+    ignored = [f"--{SWEEP_AXES[a]}" for a, _ in axes if a not in readable]
     if ignored:
-        raise UsageError(f"sweep --command {cfg['command']} reads only "
+        raise UsageError(f"sweep --command {command} reads only "
                          f"{flags}, not {'/'.join(ignored)}")
-    axes = [(name, cfg["axes"][name]) for name in SWEEP_AXES
-            if name in cfg["axes"]]
     if not axes:
         raise UsageError(f"sweep needs at least one grid axis ({flags})")
     axis_names = [name for name, _ in axes]
@@ -561,10 +583,10 @@ def _run_sweep(cfg: dict, out: Path):
 
     failed = sum(1 for r in results if not r["ok"])
     write_json(out / "sweep_index.json",
-               {"command": cfg["command"], "axes": dict(axes),
+               {"command": command, "axes": dict(axes),
                 "points": index_rows, "failed": failed})
     artifacts = ["sweep.csv", "sweep_index.json"] + point_files
-    summary = (f"sweep {cfg['command']} over {'x'.join(axis_names)} "
+    summary = (f"sweep {command} over {'x'.join(axis_names)} "
                f"({len(points)} points, {failed} failed, jobs={jobs})")
     return (1 if failed else 0), summary, artifacts, {"failed": failed}
 
@@ -593,7 +615,7 @@ class Param(NamedTuple):
     manifest.json) and its INI key, where ``-`` may stand for ``_``.
     ``cast`` turns flag, INI and default text alike into the value, which
     must be one of ``choices`` if given.  ``flag`` overrides
-    ``--name-with-dashes``: a bare word is positional, "" means none.
+    ``--name-with-dashes``; a bare word is positional.
     ``run`` reads the INI entry from [run], not the command's section."""
     name: str
     cast: Callable = str
@@ -608,42 +630,18 @@ class Command(NamedTuple):
     help: str
     runner: Callable
     params: tuple
-    #: finish(args, cfg): what the table cannot say, applied after it
-    finish: Callable | None = None
 
 
-def _freq_command_spec(args, cfg: dict) -> None:
-    """The freq command's frequency: exactly one of --value, --rational
-    and --liouville (flags that are not config keys), else [freq] freq."""
-    given = [s for s in ("value", "rational", "liouville")
-             if getattr(args, s) is not None]
-    if len(given) > 1:
-        raise UsageError("pass exactly one of --value/--rational/--liouville")
-    if args.value is not None:
-        cfg["freq"] = {"kind": "value", "value": args.value,
-                       "max_terms": args.max_terms or 32}
-    elif args.rational is not None:
-        cfg["freq"] = parse_freq_spec(args.rational)
-    elif args.liouville is not None:
-        cfg["freq"] = _parse_liouville_fields(args.liouville)
-    elif cfg["freq"] is None:
-        raise UsageError("freq needs --value, --rational, or --liouville")
-
-
-def _fold_sweep_axes(args, cfg: dict) -> None:
-    grids = {axis: cfg.pop(key) for axis, key in SWEEP_AXES.items()}
-    cfg["axes"] = {axis: grid for axis, grid in grids.items()
-                   if grid is not None}
-    cfg["command"] = cfg.pop("point_command")
+SEED = Param("seed", int, "0", "seed for randomized pieces", run=True)
 
 
 def _lyapunov(theta_count: str):
     return (Param("n_steps", int, "10000"),
             Param("theta_count", int, theta_count),
-            Param("theta_mode", str, "golden", choices=("golden", "random")))
+            Param("theta_mode", str, "golden", choices=("golden", "random")),
+            SEED)
 
 
-SEED = Param("seed", int, "0", "seed for randomized pieces", run=True)
 SAMPLING = (Param("sampling", str, "amo", choices=("amo", "table", "zero")),
             Param("lam", float, "1.0", "cosine coupling for amo sampling",
                   flag="--lambda"),
@@ -663,7 +661,7 @@ MAX_SITE = Param("max_site", int, "60")
 COMMANDS = {
     "freq": Command(
         "continued-fraction data for a frequency", _run_freq,
-        (FREQ._replace(default=None, flag=""),), _freq_command_spec),
+        (FREQ._replace(default=None, flag="freq"),)),
     "bands": Command(
         "band structure of a periodic model", _run_bands,
         (*SAMPLING, PERIODIC_FREQ, THETA, KAPPA_GRID)),
@@ -693,6 +691,7 @@ COMMANDS = {
          Param("trials", int, "20", "random models for floquet"),
          Param("q_max", int, "8"),
          Param("samples_per_model", int, "4"),
+         SEED,
          Param("checks", _check_names, None, "comma-separated check subset"),
          Param("time_scales", _csv_floats, "5,20",
                "comma-separated T list (transport)"),
@@ -716,8 +715,7 @@ COMMANDS = {
                  None, f"{axis} axis: a,b,c or lin:lo:hi:n or grid:n")
            for axis, key in SWEEP_AXES.items()),
          TIME_SCALE, ORDERS, RADIUS, *_lyapunov("16"),
-         Param("jobs", int, "1", "worker pool size", run=True)),
-        _fold_sweep_axes),
+         Param("jobs", int, "1", "worker pool size", run=True))),
 }
 
 
@@ -737,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=command.help, allow_abbrev=False)
         sub.add_argument("--config", help="INI config file")
         sub.add_argument("--out", help="output directory")
-        for p in (SEED, *command.params):
+        for p in command.params:
             flag = "--" + p.name.replace("_", "-") if p.flag is None \
                 else p.flag
             kw = {"help": p.help, "choices": p.choices or None}
@@ -746,13 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "const": "true"}
             if flag.startswith("--"):
                 sub.add_argument(flag, dest=p.name, **kw)
-            elif flag:
+            else:
                 sub.add_argument(flag, nargs="?", **kw)
-    freq = subs.choices["freq"]
-    freq.add_argument("--value", type=float, help="float frequency in (0, 1)")
-    freq.add_argument("--rational", help="p/q")
-    freq.add_argument("--liouville", help="beta=B,q1=Q,depth=D construction")
-    freq.add_argument("--max-terms", type=int, help="expansion depth for --value")
     return parser
 
 
@@ -783,6 +776,12 @@ def _load_manifest(path: str) -> dict:
             and isinstance(manifest.get("config"), dict)):
         raise UsageError(f"manifest {path!r} is not a {MANIFEST_SCHEMA} "
                          "manifest with a known command and its config")
+    want = {p.name for p in COMMANDS[manifest["command"]].params} | {"out"}
+    got = set(manifest["config"])
+    if got != want:
+        raise UsageError(f"manifest {path!r}: config lacks keys "
+                         f"{sorted(want - got)}, has unknown keys "
+                         f"{sorted(got - want)}")
     return manifest
 
 
@@ -797,7 +796,7 @@ def _check_ini_keys(ini, command: str) -> None:
     """Reject keys of [run] or of the command's section that no parameter
     reads; other commands' sections are left alone."""
     run_keys = {"out"} | {p.name for c in COMMANDS.values()
-                          for p in (SEED, *c.params) if p.run}
+                          for p in c.params if p.run}
     own_keys = {p.name for p in COMMANDS[command].params if not p.run}
     for section, names in (("run", run_keys), (command, own_keys)):
         names |= {n.replace("_", "-") for n in names}
@@ -825,7 +824,7 @@ def assemble_config(args, ini) -> dict:
     if ini is not None:
         _check_ini_keys(ini, args.command)
     cfg = {}
-    for p in (SEED, *command.params):
+    for p in command.params:
         text = getattr(args, p.name, None)
         if text is None and ini is not None:
             text = _ini_text(ini, "run" if p.run else args.command, p.name)
@@ -838,8 +837,6 @@ def assemble_config(args, ini) -> dict:
         if p.choices and cfg[p.name] not in p.choices:
             raise UsageError(f"{p.name} = {text!r}: not one of "
                              f"{', '.join(p.choices)}")
-    if command.finish is not None:
-        command.finish(args, cfg)
     cfg["out"] = _resolve_out(args, ini)
     return cfg
 
@@ -871,7 +868,6 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "config": cfg,
-        "seed": cfg["seed"],
         "versions": _versions(),
         "timings": {"total_seconds": elapsed},
         "artifacts": artifacts,

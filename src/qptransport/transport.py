@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -124,10 +125,11 @@ def _time_operator(source, radius: int | None, time_scale: float,
     need = 8 * (2 * dim * dim + _COLUMN_CHUNK)
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
+        # a Decimal quotient, since need may pass the float range
         raise MemoryLimitError(
             f"the time route at dimension {dim} needs about "
-            f"{need / 2 ** 30:.3g} GiB, more than the {limit / 2 ** 30:.3g} "
-            "GiB of physical memory")
+            f"{Decimal(need) / 2 ** 30:.3g} GiB, more than the "
+            f"{limit / 2 ** 30:.3g} GiB of physical memory")
     return _as_finite(source, radius, time_scale, n_extent, config)
 
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from qptransport import transport
+from qptransport import cli, transport
 from qptransport.cli import main, parse_axis, parse_freq_spec, to_jsonable
 
 
@@ -20,7 +20,7 @@ def read_csv(path):
 class TestFreqCommand:
     def test_liouville_json_shape(self, tmp_path, capsys):
         out = tmp_path / "run"
-        code = main(["freq", "--liouville", "beta=2,q1=2,depth=3",
+        code = main(["freq", "liouville:beta=2,q1=2,depth=3",
                      "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "freq.json").read_text())
@@ -31,20 +31,22 @@ class TestFreqCommand:
         assert abs(doc["beta_hat"] - 2.0) < 0.1
 
     def test_rational_and_value_specs(self, tmp_path, capsys):
-        assert main(["freq", "--rational", "3/8",
-                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["freq", "3/8", "--out", str(tmp_path / "a")]) == 0
         doc = json.loads((tmp_path / "a" / "freq.json").read_text())
         assert doc["value_num"] == 3 and doc["value_den"] == 8
-        assert main(["freq", "--value", "0.4142135623730951",
+        assert main(["freq", "0.4142135623730951",
                      "--out", str(tmp_path / "b")]) == 0
 
     def test_conflicting_specs_rejected(self, tmp_path, capsys):
-        code = main(["freq", "--value", "0.3", "--rational", "1/3",
-                     "--out", str(tmp_path)])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["freq", "0.3", "1/3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_missing_spec_rejected(self, tmp_path, capsys):
-        assert main(["freq", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "run"
+        assert main(["freq", "--out", str(out)]) == 2
+        assert "freq needs a spec" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBandsCommand:
@@ -116,6 +118,32 @@ class TestExitCodes:
         assert "MemoryLimitError" in err and "physical memory" in err
         assert not (out / "moments.csv").exists()
 
+    def test_memory_estimate_beyond_the_float_range_exits_one(
+            self, tmp_path, capsys, monkeypatch):
+        # T = 1e300 needs about 1.7e595 GiB, past the float range; order 1
+        # keeps T^p in range (order 2 is a usage error)
+        monkeypatch.setattr(transport, "finite_operator", None)
+        out = tmp_path / "run"
+        code = main(["moments", "--time-scale", "1e300", "--orders", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "MemoryLimitError" in capsys.readouterr().err
+        assert not (out / "moments.csv").exists()
+
+    @pytest.mark.parametrize("time_scale, orders", [
+        ("5", "1,1000000"), ("0.5", "1,2000"),
+    ], ids=["overflow", "underflow"])
+    def test_order_whose_scale_leaves_the_float_range(
+            self, tmp_path, capsys, monkeypatch, time_scale, orders):
+        # rejected before the lattice is built
+        monkeypatch.setattr(transport, "finite_operator", None)
+        out = tmp_path / "run"
+        code = main(["moments", "--freq", "2/5", "--time-scale", time_scale,
+                     "--orders", orders, "--out", str(out)])
+        assert code == 2
+        assert "leaves the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_freq_spec(self, tmp_path, capsys):
         assert main(["moments", "--freq", "abc", "--out", str(tmp_path)]) == 2
 
@@ -146,7 +174,7 @@ class TestExitCodes:
     def test_manifest_without_command_or_config(self, tmp_path, capsys,
                                                 drop):
         first = tmp_path / "first"
-        assert main(["freq", "--rational", "3/8", "--out", str(first)]) == 0
+        assert main(["freq", "3/8", "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         del manifest[drop]
         broken = tmp_path / "broken.json"
@@ -247,13 +275,13 @@ class TestConfigLayering:
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "envdir"
         monkeypatch.setenv("QPT_OUT", str(target))
-        assert main(["freq", "--rational", "3/8"]) == 0
+        assert main(["freq", "3/8"]) == 0
         assert (target / "freq.json").exists()
 
     def test_flag_beats_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QPT_OUT", str(tmp_path / "envdir"))
         flagged = tmp_path / "flagdir"
-        assert main(["freq", "--rational", "3/8", "--out", str(flagged)]) == 0
+        assert main(["freq", "3/8", "--out", str(flagged)]) == 0
         assert (flagged / "freq.json").exists()
         assert not (tmp_path / "envdir").exists()
 
@@ -263,20 +291,23 @@ RATIONAL_2_5 = {"den": 5, "kind": "rational", "num": 2}
 RATIONAL_8_13 = {"den": 13, "kind": "rational", "num": 8}
 AMO_DEFAULTS = {"lam": 1.0, "potential": None, "sampling": "amo"}
 
+NO_SWEEP_AXES = {"depths": None, "energies": None, "lambdas": None,
+                 "thetas": None, "times": None}
+
 # One cheap invocation per subcommand, plus INI-layered cases: the exact
 # resolved config each writes into manifest.json ("out" is added per run).
 CONFIG_PINS = [
-    (["freq", "--value", "0.3", "--max-terms", "5"], None,
-     {"freq": {"kind": "value", "max_terms": 5, "value": 0.3}, "seed": 0}),
+    (["freq", "0.3"], None,
+     {"freq": {"kind": "value", "max_terms": 32, "value": 0.3}}),
     (["bands"], None,
-     {**AMO_DEFAULTS, "freq": RATIONAL_8_13, "kappa_grid": 64, "seed": 0,
+     {**AMO_DEFAULTS, "freq": RATIONAL_8_13, "kappa_grid": 64,
       "theta": 0.0}),
     (["discriminant", "--e-min", "-3", "--e-max", "3"], None,
      {**AMO_DEFAULTS, "count": 512, "e_max": 3.0, "e_min": -3.0,
-      "freq": RATIONAL_8_13, "seed": 0, "theta": 0.0}),
+      "freq": RATIONAL_8_13, "theta": 0.0}),
     (["measure", "--freq", "2/5", "--e-min", "-1", "--e-max", "1"], None,
      {**AMO_DEFAULTS, "e_max": 1.0, "e_min": -1.0, "freq": RATIONAL_2_5,
-      "kappa_grid": 64, "seed": 0, "theta_grid": 16}),
+      "kappa_grid": 64, "theta_grid": 16}),
     (["lyapunov", "--e-min", "0", "--e-max", "1", "--n-steps", "200",
       "--theta-count", "2"], None,
      {**AMO_DEFAULTS, "e_count": 17, "e_max": 1.0, "e_min": 0.0,
@@ -284,10 +315,10 @@ CONFIG_PINS = [
       "theta_count": 2, "theta_mode": "golden"}),
     (["transport", "--freq", "2/5", "--time-scale", "3"], None,
      {**AMO_DEFAULTS, "freq": RATIONAL_2_5, "max_site": 60, "radius": None,
-      "seed": 0, "theta": 0.0, "time_scale": 3.0}),
+      "theta": 0.0, "time_scale": 3.0}),
     (["moments", "--freq", "2/5", "--time-scale", "3"], None,
      {**AMO_DEFAULTS, "freq": RATIONAL_2_5, "orders": [1.0, 2.0],
-      "radius": None, "seed": 0, "theta": 0.0, "time_scale": 3.0}),
+      "radius": None, "theta": 0.0, "time_scale": 3.0}),
     (["verify", "floquet", "--trials", "1", "--q-max", "3"], None,
      {"checks": None, "corrupt": False, "max_site": 60, "q_max": 3,
       "samples_per_model": 4, "seed": 0, "suite": "floquet",
@@ -295,25 +326,26 @@ CONFIG_PINS = [
     (["theorem-demo", "--depth-budget", "2", "--theta-grid", "2",
       "--max-radius", "200"], None,
      {**AMO_DEFAULTS, "beta_target": 2.0, "delta": 0.45, "depth_budget": 2,
-      "max_radius": 200, "p_list": [1.0, 2.0], "seed": 0, "theta_grid": 2}),
+      "max_radius": 200, "p_list": [1.0, 2.0], "theta_grid": 2}),
     (["sweep", "--freq", "2/5", "--thetas", "0,0.5", "--time-scale", "3",
       "--orders", "2"], None,
-     {**AMO_DEFAULTS, "axes": {"theta": [0.0, 0.5]}, "command": "moments",
-      "freq": RATIONAL_2_5, "jobs": 1, "n_steps": 10000, "orders": [2.0],
-      "radius": None, "seed": 0, "theta": 0.0, "theta_count": 16,
-      "theta_mode": "golden", "time_scale": 3.0}),
+     {**AMO_DEFAULTS, **NO_SWEEP_AXES, "thetas": [0.0, 0.5],
+      "point_command": "moments", "freq": RATIONAL_2_5, "jobs": 1,
+      "n_steps": 10000, "orders": [2.0], "radius": None, "seed": 0,
+      "theta": 0.0, "theta_count": 16, "theta_mode": "golden",
+      "time_scale": 3.0}),
     (["freq"], "[freq]\nfreq = 3/8\n",
-     {"freq": {"den": 8, "kind": "rational", "num": 3}, "seed": 0}),
+     {"freq": {"den": 8, "kind": "rational", "num": 3}}),
     (["sweep", "--lambda", "2.0", "--times", "2,3"],
      "[run]\nseed = 3\njobs = 1\n\n"
      "[sweep]\npoint-command = moments\nthetas = 0,0.5\ntime_scale = 3\n"
      "orders = 2\nlam = 1.5\nfreq = 2/5\ntheta-count = 4\n\n"
      "[moments]\nlambda = 3.0\n",
-     {**AMO_DEFAULTS, "axes": {"theta": [0.0, 0.5], "time": [2.0, 3.0]},
-      "command": "moments", "freq": RATIONAL_2_5, "jobs": 1, "lam": 2.0,
-      "n_steps": 10000, "orders": [2.0], "radius": None, "seed": 3,
-      "theta": 0.0, "theta_count": 4, "theta_mode": "golden",
-      "time_scale": 3.0}),
+     {**AMO_DEFAULTS, **NO_SWEEP_AXES, "thetas": [0.0, 0.5],
+      "times": [2.0, 3.0], "point_command": "moments", "freq": RATIONAL_2_5,
+      "jobs": 1, "lam": 2.0, "n_steps": 10000, "orders": [2.0],
+      "radius": None, "seed": 3, "theta": 0.0, "theta_count": 4,
+      "theta_mode": "golden", "time_scale": 3.0}),
 ]
 
 
@@ -357,6 +389,30 @@ class TestManifest:
         assert "numpy" in m["versions"] and "qptransport" in m["versions"]
         assert m["timings"]["total_seconds"] >= 0
         assert "moments.csv" in m["artifacts"]
+
+    @pytest.mark.parametrize("argv, edit, named", [
+        (["moments", "--freq", "2/5", "--time-scale", "3"],
+         lambda c: c.pop("sampling"), "sampling"),
+        (["moments", "--freq", "2/5", "--time-scale", "3"],
+         lambda c: c.update(seed=0), "seed"),
+        (["sweep", "--freq", "2/5", "--thetas", "0", "--time-scale", "2",
+          "--orders", "2"],
+         lambda c: c.update(axes={"theta": c.pop("thetas")},
+                            command=c.pop("point_command")), "axes"),
+    ], ids=["missing-key", "unknown-key", "parent-sweep-keys"])
+    def test_config_keys_must_match_the_table(self, tmp_path, capsys, argv,
+                                              edit, named):
+        first = tmp_path / "first"
+        assert main(argv + ["--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        edit(manifest["config"])
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--from-manifest", str(broken),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert repr(named) in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
 
     def test_foreign_json_rejected(self, tmp_path, capsys):
         bogus = tmp_path / "x.json"
@@ -493,6 +549,21 @@ class TestSweep:
         header, rows = read_csv(out / "sweep.csv")
         gamma = float(rows[0][header.index("gamma_hat")])
         assert abs(gamma - math.log((3 + math.sqrt(5)) / 2)) < 0.01
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_parser_and_config_are_the_table(self, name, monkeypatch):
+        # the options of each subcommand are exactly its Params plus
+        # --config/--out, and its config keys are their names plus out
+        monkeypatch.delenv("QPT_OUT", raising=False)
+        params = {p.name for p in cli.COMMANDS[name].params}
+        parser = cli.build_parser()
+        sub = parser._subparsers._group_actions[0].choices[name]
+        dests = {a.dest for a in sub._actions} - {"help"}
+        assert dests == params | {"config", "out"}
+        cfg = cli.assemble_config(parser.parse_args([name]), None)
+        assert set(cfg) == params | {"out"}
 
 
 class TestHelpers:

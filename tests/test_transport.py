@@ -491,6 +491,13 @@ class TestTimeRoute:
         with pytest.raises(MemoryLimitError, match=f"dimension {dim}"):
             tr.probability_distribution(FREE_CHAIN, 3.0)
 
+    def test_memory_preflight_estimate_cannot_overflow(self, monkeypatch):
+        # dimension 3.3e301: 8 (2 dim^2) bytes is past the float range, so
+        # the estimate is formatted without a float conversion
+        monkeypatch.setattr(tr, "finite_operator", None)
+        with pytest.raises(MemoryLimitError, match=r"e\+595 GiB"):
+            tr.probability_distribution(FREE_CHAIN, 1e300)
+
 
 class TestResolventRoute:
     def test_free_lattice_bessel_oracle(self):
