@@ -7,8 +7,9 @@ for every parameter: command-line flag > config-file entry > built-in
 default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
-library versions and timings; `qpt --from-manifest m.json` re-executes
-that configuration and regenerates the data artifacts byte-for-byte.
+library versions, BLAS threads and timings; `qpt --from-manifest m.json`
+re-executes that configuration and regenerates the data artifacts
+byte-for-byte under the same BLAS thread count.
 
 Exit codes: 0 success, 1 numerical or module-level failure (and verify
 runs that found violations, and sweeps with failed points), 2 usage.
@@ -598,6 +599,13 @@ def _csv_floats(text: str):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive integer")
+    return value
+
+
 def _truthy(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
@@ -668,7 +676,7 @@ COMMANDS = {
     "discriminant": Command(
         "discriminant on an energy grid", _run_discriminant,
         (*SAMPLING, PERIODIC_FREQ, THETA, *E_RANGE,
-         Param("count", int, "512"))),
+         Param("count", _positive_int, "512"))),
     "measure": Command(
         "uniform spectral-measure lower bound eta", _run_measure,
         (*SAMPLING, PERIODIC_FREQ, *E_RANGE, Param("theta_grid", int, "16"),
@@ -677,7 +685,8 @@ COMMANDS = {
         "phase-averaged Lyapunov estimates", _run_lyapunov,
         (*SAMPLING, FREQ,
          Param("energies", _csv_floats, None, "comma-separated energy list"),
-         *E_RANGE, Param("e_count", int, "17"), *_lyapunov("100"))),
+         *E_RANGE, Param("e_count", _positive_int, "17"),
+         *_lyapunov("100"))),
     "transport": Command(
         "Abel-averaged site probabilities at one T", _run_transport,
         (*SAMPLING, FREQ, THETA, TIME_SCALE, RADIUS, MAX_SITE)),
@@ -715,7 +724,7 @@ COMMANDS = {
                  None, f"{axis} axis: a,b,c or lin:lo:hi:n or grid:n")
            for axis, key in SWEEP_AXES.items()),
          TIME_SCALE, ORDERS, RADIUS, *_lyapunov("16"),
-         Param("jobs", int, "1", "worker pool size", run=True))),
+         Param("jobs", _positive_int, "1", "worker pool size", run=True))),
 }
 
 
@@ -793,11 +802,11 @@ def _ini_text(ini, section: str, name: str):
 
 
 def _check_ini_keys(ini, command: str) -> None:
-    """Reject keys of [run] or of the command's section that no parameter
-    reads; other commands' sections are left alone."""
-    run_keys = {"out"} | {p.name for c in COMMANDS.values()
-                          for p in c.params if p.run}
-    own_keys = {p.name for p in COMMANDS[command].params if not p.run}
+    """Reject keys of [run] or of the command's section that none of the
+    command's parameters reads; other commands' sections are left alone."""
+    params = COMMANDS[command].params
+    run_keys = {"out"} | {p.name for p in params if p.run}
+    own_keys = {p.name for p in params if not p.run}
     for section, names in (("run", run_keys), (command, own_keys)):
         names |= {n.replace("_", "-") for n in names}
         if ini.has_section(section):
@@ -832,8 +841,8 @@ def assemble_config(args, ini) -> dict:
             text = p.default
         try:
             cfg[p.name] = None if text is None else p.cast(text)
-        except (ValueError, TypeError):
-            raise UsageError(f"{p.name} = {text!r}: cannot convert") from None
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"{p.name} = {text!r}: {exc}") from None
         if p.choices and cfg[p.name] not in p.choices:
             raise UsageError(f"{p.name} = {text!r}: not one of "
                              f"{', '.join(p.choices)}")
@@ -843,12 +852,6 @@ def assemble_config(args, ini) -> dict:
 
 # ---------------------------------------------------------------------------
 # execution
-
-def _versions() -> dict:
-    return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__, "scipy": scipy.__version__,
-            "qptransport": __version__}
-
 
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg["out"])
@@ -868,7 +871,13 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "config": cfg,
-        "versions": _versions(),
+        "versions": {"python": ".".join(map(str, sys.version_info[:3])),
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "qptransport": __version__},
+        # the BLAS thread count can change the last bits of eigensolves
+        "threads": {**{v: os.environ.get(v) for v in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()},
         "timings": {"total_seconds": elapsed},
         "artifacts": artifacts,
         "results": extra,

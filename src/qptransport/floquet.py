@@ -73,7 +73,6 @@ def _floquet_matrix_kappa_derivative(model: PeriodicModel, kappa: float
 class FloquetEigensystem:
     """Eigenvalues (ascending) and eigenvectors of one fiber matrix."""
 
-    kappa: float
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)  # columns
 
@@ -93,7 +92,7 @@ class FloquetEigensystem:
 
 def floquet_eigensystem(model: PeriodicModel, kappa: float) -> FloquetEigensystem:
     w, u = np.linalg.eigh(floquet_matrix(model, kappa))
-    return FloquetEigensystem(kappa=float(kappa), eigenvalues=w, eigenvectors=u)
+    return FloquetEigensystem(eigenvalues=w, eigenvectors=u)
 
 
 def fiber_eigensystems(model: PeriodicModel, kappas
@@ -130,11 +129,9 @@ def discriminant(model: PeriodicModel, energy):
     return float(delta) if e.ndim == 0 else delta
 
 
-def discriminant_derivative(model: PeriodicModel, energy: float,
-                            h: float | None = None) -> float:
+def discriminant_derivative(model: PeriodicModel, energy: float) -> float:
     """Central-difference d Delta / dE with h = eps^(1/3) * max(1, |E|)."""
-    if h is None:
-        h = _EPS_CUBE_ROOT * max(1.0, abs(energy))
+    h = _EPS_CUBE_ROOT * max(1.0, abs(energy))
     return (discriminant(model, energy + h)
             - discriminant(model, energy - h)) / (2.0 * h)
 

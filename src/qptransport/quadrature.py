@@ -56,7 +56,6 @@ class QuadratureResult:
     value: object  # float, or ndarray for vector integrands
     error: float
     evaluations: int
-    panels: int
     deepest: int
 
 
@@ -100,7 +99,6 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
 
     total = 0.0 * queue[0][3]
     err = 0.0
-    panels = 0
     deepest = 0
     # crude overall scale for the relative test, updated as panels settle
     scale_guess = sum(_mag(v) for (_, _, _, v, _) in queue) + abs_tol
@@ -111,7 +109,6 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
         if gauge <= budget:
             total += value
             err += gauge
-            panels += 1
             deepest = max(deepest, depth)
         elif depth >= max_depth:
             raise NumericalError(
@@ -126,7 +123,7 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
 
     value = float(total) if np.ndim(total) == 0 else total
     return QuadratureResult(value=value, error=err, evaluations=evaluations,
-                            panels=panels, deepest=deepest)
+                            deepest=deepest)
 
 
 def integrate_right_tail(func, e0: float, scale: float = 1.0,

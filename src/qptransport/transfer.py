@@ -235,23 +235,20 @@ def lyapunov_exponent(f: SamplingFunction, alpha, energy: float,
 class MinLyapunovResult:
     energy: float
     gamma: float
-    estimates: tuple
 
 
 def min_lyapunov_on_spectrum(f: SamplingFunction, alpha, energies,
-                             n_steps: int = 10_000, theta_count: int = 100,
-                             theta_mode: str = "golden", seed=None
+                             n_steps: int = 10_000, theta_count: int = 100
                              ) -> MinLyapunovResult:
     """Minimize the Lyapunov estimate over a list of on-spectrum energies
     (typically band centers of a deep periodic approximant)."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if energies.size == 0:
         raise InputError("need at least one energy")
-    ests = tuple(lyapunov_exponent(f, alpha, e, n_steps, theta_count,
-                                   theta_mode, seed) for e in energies)
-    k = int(np.argmin([est.gamma_hat for est in ests]))
-    return MinLyapunovResult(energy=float(energies[k]),
-                             gamma=ests[k].gamma_hat, estimates=ests)
+    gammas = [lyapunov_exponent(f, alpha, e, n_steps, theta_count).gamma_hat
+              for e in energies]
+    k = int(np.argmin(gammas))
+    return MinLyapunovResult(energy=float(energies[k]), gamma=gammas[k])
 
 
 def gordon_block_statistic(a_matrix, u=None) -> float:

@@ -46,23 +46,28 @@ from .quadrature import (adaptive_integrate, integrate_left_tail,
                          integrate_right_tail)
 
 
+#: Abel weight mass beyond the horizon; it also sets both truncation radii
+TAIL_TOLERANCE = 1e-6
+#: light-cone bound for unit hopping: the exact front speed is 2, the
+#: margin absorbs the Airy widening together with TRUNCATION_PAD
+TRUNCATION_SPEED = 2.2
+TRUNCATION_PAD = 48.0
+#: the boundary-mass check: sites per edge, most mass there at the horizon
+BOUNDARY_WIDTH = 8
+BOUNDARY_MASS_TOL = 1e-7
+#: the time route's constants by name, as the reports that run it record
+TIME_ROUTE_CONSTANTS = ("TAIL_TOLERANCE", "TRUNCATION_SPEED", "TRUNCATION_PAD",
+                        "BOUNDARY_WIDTH", "BOUNDARY_MASS_TOL")
+#: largest quasimomentum grid the Floquet route doubles up to
+MAX_KAPPA_POINTS = 65536
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Knobs shared by the transport routes.
+    """The accuracy of the energy integrals of the resolvent and Floquet
+    routes (and of the Floquet grid's convergence test)."""
 
-    tail_tolerance controls both the Abel time-tail cut and the lattice
-    truncation targets; truncation_speed is the light-cone bound for unit
-    hopping (the exact front speed is 2, the margin absorbs the Airy
-    widening together with truncation_pad).
-    """
-
-    tail_tolerance: float = 1e-6
-    truncation_speed: float = 2.2
-    truncation_pad: float = 48.0
-    boundary_width: int = 8
-    boundary_mass_tol: float = 1e-7
     energy_rel_tol: float = 1e-4
-    max_kappa_points: int = 65536
 
 
 DEFAULT_CONFIG = EvolutionConfig()
@@ -77,33 +82,27 @@ def _check_time_scale(time_scale) -> float:
     return t
 
 
-def abel_horizon(time_scale: float, tail_tolerance: float = 1e-6) -> float:
-    """Time t* past which the Abel weight mass is below tail_tolerance."""
+def abel_horizon(time_scale: float) -> float:
+    """Time t* past which the Abel weight mass is below TAIL_TOLERANCE."""
     time_scale = _check_time_scale(time_scale)
-    if not 0 < tail_tolerance < 1:
-        raise InputError(f"tail tolerance must be in (0,1), got {tail_tolerance}")
-    return 0.5 * time_scale * math.log(4.0 / tail_tolerance)
+    return 0.5 * time_scale * math.log(4.0 / TAIL_TOLERANCE)
 
 
-def truncation_radius(time_scale: float, n_extent: int = 1,
-                      config: EvolutionConfig = DEFAULT_CONFIG) -> int:
+def truncation_radius(time_scale: float, n_extent: int = 1) -> int:
     """Lattice radius so the horizon-time wavefront stays far from the edge."""
-    horizon = abel_horizon(time_scale, config.tail_tolerance)
-    inner = (config.truncation_speed * horizon
+    horizon = abel_horizon(time_scale)
+    inner = (TRUNCATION_SPEED * horizon
              + 12.0 * (1.0 + horizon) ** (1.0 / 3.0)
-             + config.truncation_pad)
+             + TRUNCATION_PAD)
     if not math.isfinite(inner):
         raise InputError(f"time scale {time_scale} has no finite "
                          "truncation radius")
     return int(math.ceil(inner)) + int(abs(n_extent))
 
 
-def _as_finite(source, radius: int | None, time_scale: float,
-               n_extent: int, config: EvolutionConfig) -> FiniteOperator:
+def _as_finite(source, radius: int) -> FiniteOperator:
     if isinstance(source, FiniteOperator):
         return source
-    if radius is None:
-        radius = truncation_radius(time_scale, n_extent, config)
     if isinstance(source, (Chain, PeriodicModel)):
         return finite_operator(source, radius)
     raise InputError(
@@ -112,14 +111,14 @@ def _as_finite(source, radius: int | None, time_scale: float,
 
 
 def _time_operator(source, radius: int | None, time_scale: float,
-                   n_extent: int, config: EvolutionConfig) -> FiniteOperator:
+                   n_extent: int) -> FiniteOperator:
     """The time route's truncated operator, built only once its peak fits
     in the machine's physical memory: the dense eigenvectors and the
     eigensolver's workspace beside them (LAPACK ?stevd takes
     dim^2 + 4 dim + 1 doubles) at 8 dim^2 bytes each, plus one column chunk
     of the Lorentz form."""
     if radius is None and not isinstance(source, FiniteOperator):
-        radius = truncation_radius(time_scale, n_extent, config)
+        radius = truncation_radius(time_scale, n_extent)
     dim = source.dimension if isinstance(source, FiniteOperator) \
         else 2 * radius + 1
     need = 8 * (2 * dim * dim + _COLUMN_CHUNK)
@@ -130,7 +129,7 @@ def _time_operator(source, radius: int | None, time_scale: float,
             f"the time route at dimension {dim} needs about "
             f"{Decimal(need) / 2 ** 30:.3g} GiB, more than the "
             f"{limit / 2 ** 30:.3g} GiB of physical memory")
-    return _as_finite(source, radius, time_scale, n_extent, config)
+    return _as_finite(source, radius)
 
 
 def evolve(op: FiniteOperator, times, source: int = 0,
@@ -152,24 +151,22 @@ def evolve(op: FiniteOperator, times, source: int = 0,
     return out
 
 
-def boundary_mass(op: FiniteOperator, time: float, source: int = 0,
-                  width: int = 8) -> float:
-    """Probability mass on the outermost width sites of each edge at time t
-    (a site in both edges, when dimension < 2 width, counts twice)."""
-    width = min(width, op.dimension)
+def boundary_mass(op: FiniteOperator, time: float, source: int = 0) -> float:
+    """Probability mass on the outermost BOUNDARY_WIDTH sites of each edge
+    at time t (a site in both edges, when dimension < 2 BOUNDARY_WIDTH,
+    counts twice)."""
+    width = min(BOUNDARY_WIDTH, op.dimension)
     edges = [*range(-op.N, width - op.N), *range(op.N + 1 - width, op.N + 1)]
     return float(np.sum(np.abs(evolve(op, [time], source, edges)) ** 2))
 
 
-def _check_truncation(op: FiniteOperator, time_scale: float,
-                      config: EvolutionConfig) -> float:
-    horizon = abel_horizon(time_scale, config.tail_tolerance)
-    leak = max(boundary_mass(op, horizon, 0, config.boundary_width),
-               boundary_mass(op, horizon, 1, config.boundary_width))
-    if leak > config.boundary_mass_tol:
+def _check_truncation(op: FiniteOperator, time_scale: float) -> float:
+    horizon = abel_horizon(time_scale)
+    leak = max(boundary_mass(op, horizon, 0), boundary_mass(op, horizon, 1))
+    if leak > BOUNDARY_MASS_TOL:
         raise TruncationError(
             f"boundary mass {leak:.3e} at the Abel horizon t = {horizon:.3g} "
-            f"exceeds {config.boundary_mass_tol:.1e}; "
+            f"exceeds {BOUNDARY_MASS_TOL:.1e}; "
             f"enlarge the radius (currently {op.N})")
     return leak
 
@@ -274,7 +271,6 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
 
 
 def abel_probability_time(source, displacement, time_scale: float,
-                          config: EvolutionConfig = DEFAULT_CONFIG,
                           radius: int | None = None):
     """P(n; T) through the truncated eigendecomposition, for one
     displacement (a float back) or an array of them (an array back;
@@ -287,11 +283,11 @@ def abel_probability_time(source, displacement, time_scale: float,
     """
     disp, answer = _window(displacement)
     n_extent = max(abs(int(disp[0])), abs(int(disp[-1]) + 1))
-    op = _time_operator(source, radius, time_scale, n_extent, config)
+    op = _time_operator(source, radius, time_scale, n_extent)
     # both entries of every displacement must be lattice sites
     op.site_index(int(disp[0]))
     op.site_index(int(disp[-1]) + 1)
-    _check_truncation(op, time_scale, config)
+    _check_truncation(op, time_scale)
     return answer(_time_values(op, time_scale, disp))
 
 
@@ -361,15 +357,14 @@ class TransportDistribution:
 
 
 def probability_distribution(source, time_scale: float,
-                             config: EvolutionConfig = DEFAULT_CONFIG,
                              radius: int | None = None
                              ) -> TransportDistribution:
     """All Abel probabilities P(n; T) on the truncated lattice at once.
 
     Total mass is 2 up to the truncation and tail tolerances.
     """
-    op = _time_operator(source, radius, time_scale, 1, config)
-    leak = _check_truncation(op, time_scale, config)
+    op = _time_operator(source, radius, time_scale, 1)
+    leak = _check_truncation(op, time_scale)
     # both entries exist for the displacements -N .. N-1
     disp = np.arange(-op.N, op.N)
     probs = _time_values(op, time_scale, disp)
@@ -390,14 +385,13 @@ class TransportMoments:
 
 
 def moments(source, time_scale: float, orders=(2,),
-            config: EvolutionConfig = DEFAULT_CONFIG,
             radius: int | None = None) -> TransportMoments:
     """Abel-averaged moment sums M_p(T) = sum_n |n|^p P(n; T)."""
     orders = tuple(float(p) for p in np.atleast_1d(orders))
     if not all(math.isfinite(p) and p >= 0 for p in orders):
         raise InputError(f"moment orders must be finite and >= 0, "
                          f"got {orders}")
-    dist = probability_distribution(source, time_scale, config, radius)
+    dist = probability_distribution(source, time_scale, radius)
     absn = np.abs(dist.displacements.astype(float))
     values = tuple(float(np.sum(absn ** p * dist.probabilities))
                    for p in orders)
@@ -405,10 +399,9 @@ def moments(source, time_scale: float, orders=(2,),
                             values=values, distribution=dist)
 
 
-def _resolvent_radius(time_scale: float, n_extent: int,
-                      config: EvolutionConfig) -> int:
+def _resolvent_radius(time_scale: float, n_extent: int) -> int:
     # interior resolvent decay at Im z = 1/T is as slow as e^(-d/(2T))
-    radius = 2.5 * time_scale * math.log(4.0 / config.tail_tolerance) \
+    radius = 2.5 * time_scale * math.log(4.0 / TAIL_TOLERANCE) \
         + abs(n_extent) + 64
     if not math.isfinite(radius):
         raise InputError(f"time scale {time_scale} has no finite "
@@ -433,8 +426,8 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
         raise InputError("need at least one displacement")
     n_extent = max(max(abs(n), abs(n + 1)) for n in disp)
     if radius is None:
-        radius = _resolvent_radius(time_scale, n_extent, config)
-    op = _as_finite(source, radius, time_scale, n_extent, config)
+        radius = _resolvent_radius(time_scale, n_extent)
+    op = _as_finite(source, radius)
     eta = 1.0 / time_scale
     rows0 = np.array([op.site_index(n) for n in disp])
     rows1 = np.array([op.site_index(n + 1) for n in disp])
@@ -557,7 +550,7 @@ def abel_probability_floquet(model: PeriodicModel, displacement,
     change = np.full(disp.size, math.inf)
     active = np.ones(disp.size, dtype=bool)
     points = 256
-    while points <= config.max_kappa_points:
+    while points <= MAX_KAPPA_POINTS:
         val = _floquet_values(model, disp[active], time_scale, route, points,
                               config)
         prev = values[active]
@@ -573,7 +566,7 @@ def abel_probability_floquet(model: PeriodicModel, displacement,
                 return answer(values)
         points *= 2
     raise NumericalError(
-        f"quasimomentum grid did not converge below {config.max_kappa_points} "
+        f"quasimomentum grid did not converge below {MAX_KAPPA_POINTS} "
         f"points: displacements {disp[active].tolist()} last changed by "
         f"{', '.join(f'{c:.3e}' for c in change[active])} at {points // 2}")
 

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import constants as frozen
+from . import transport
 from .arithmetic import (Frequency, beta_estimate,
                          construct_liouville_frequency)
 from .errors import (DegeneratePointError, DepthLimitError, InputError,
@@ -42,6 +43,25 @@ from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
                         evolve, moments, subsequence_times, truncation_radius)
 # kept in this namespace: perfbench's tracer wraps it under this module
 from .transport import probability_distribution  # noqa: F401
+
+#: the random ensemble's potentials are uniform in [-V_SCALE, V_SCALE]
+V_SCALE = 2.0
+#: Floquet suite tolerances: the determinant identity (times
+#: max(1, |Delta|)), the derivative and phi-derivative identities against
+#: central differences, and the weight sum and orthonormality
+DET_TOL = 1e-8
+DERIV_REL_TOL = 1e-4
+PHI_FD_REL_TOL = 1e-3
+WEIGHT_TOL = 1e-10
+#: kappa grid of the lower-bound scan's measure infimum, and the share of
+#: the smallest measured ratio a re-calibration freezes
+SCAN_KAPPA_GRID = 64
+CALIBRATION_SAFETY = 0.5
+#: longest paired orbit (two approximant periods) the Gordon diagnostic runs
+MAX_ORBIT = 1_000_000
+#: cocycle steps and phases of the theorem demo's growth-rate probe
+PROBE_STEPS = 2000
+PROBE_THETAS = 32
 
 
 @dataclass(frozen=True)
@@ -81,7 +101,7 @@ def _make_report(check_id: str, rows, snapshot: dict) -> VerificationReport:
 
 
 def random_periodic_ensemble(count: int = 20, q_max: int = 8, seed: int = 0,
-                             v_scale: float = 2.0, q_min: int = 2) -> tuple:
+                             q_min: int = 2) -> tuple:
     """Random-potential PeriodicModels with q uniform in [q_min, q_max]."""
     if not 2 <= q_min <= q_max:
         raise InputError(f"need 2 <= q_min <= q_max, got {q_min}..{q_max}")
@@ -91,7 +111,7 @@ def random_periodic_ensemble(count: int = 20, q_max: int = 8, seed: int = 0,
     models = []
     for _ in range(count):
         q = int(rng.integers(q_min, q_max + 1))
-        v = rng.uniform(-v_scale, v_scale, q)
+        v = rng.uniform(-V_SCALE, V_SCALE, q)
         models.append(PeriodicModel.from_potential(v))
     return tuple(models)
 
@@ -111,14 +131,14 @@ def _under(value, limit, rel: bool = True, strict: bool = True) -> dict:
 
 class _FloquetCase:
     """One ensemble model, the draws its checks share, and the suite's
-    tolerances.  The rng stays live after the draws: phi_bound's
-    per-sample draws come before chebyshev's."""
+    negative-control switch.  The rng stays live after the draws:
+    phi_bound's per-sample draws come before chebyshev's."""
 
     def __init__(self, idx: int, model: PeriodicModel, seed: int,
-                 samples: int, opts: dict):
+                 samples: int, corrupt_corner: bool):
         q = model.q
         self.model, self.q, self.bound = model, q, model.norm_bound
-        self.opts = opts
+        self.corrupt_corner = corrupt_corner
         self.tags = {"model": idx, "q": q}
         self.rng = rng = np.random.default_rng([seed, idx])
         self.kappas_open = (rng.uniform(1e-3, 1.0 - 1e-3, samples)
@@ -143,14 +163,14 @@ def _determinant(case):
     q = case.q
     for kap, e in zip(case.kappas_open, case.energies):
         a = floquet_matrix(case.model, kap)
-        if case.opts["corrupt_corner"]:
+        if case.corrupt_corner:
             a = a.copy()
             a[0, q - 1] *= np.exp(0.3j)
         lhs = np.linalg.det(a - e * np.eye(q))
         disc = discriminant(case.model, e)
         target = disc + 2.0 * (-1.0) ** (q - 1) * math.cos(q * kap)
         diff = abs(lhs - target)
-        tol = case.opts["det_tol"] * max(1.0, abs(disc))
+        tol = DET_TOL * max(1.0, abs(disc))
         yield {"kappa": kap, "energy": e, "difference": diff,
                "tolerance": tol, **_under(diff, tol)}
 
@@ -174,7 +194,7 @@ def _derivative(case):
         rel = abs(ident - fd) / max(abs(fd), abs(ident))
         yield {"kappa": kap, "band": j, "identity": ident,
                "finite_difference": float(fd), "rel_error": rel,
-               **_under(rel, case.opts["deriv_rel_tol"])}
+               **_under(rel, DERIV_REL_TOL)}
 
 
 def _last(case):
@@ -209,13 +229,13 @@ def _sandwich(case):
 
 
 def _weights(case):
-    q, tol = case.q, case.opts["weight_tol"]
+    q = case.q
     for kap in case.kappas_open:
         sys = floquet_eigensystem(case.model, kap)
         mass_err = abs(float(np.sum(sys.phi)) - 2.0)
         u = sys.eigenvectors
         ortho_err = float(np.max(np.abs(u.conj().T @ u - np.eye(q))))
-        m = min(tol - mass_err, tol * q - ortho_err)
+        m = min(WEIGHT_TOL - mass_err, WEIGHT_TOL * q - ortho_err)
         yield {"kappa": kap, "mass_error": mass_err,
                "orthonormality_error": ortho_err, "margin": m,
                "ok": m >= 0.0}
@@ -248,7 +268,7 @@ def _phi_bound(case):
             / (width * (1.0 - abs(math.cos(q * kap))))
         if abs(dphi) > 1e-8:
             fd_rel = abs(dphi - fd) / abs(dphi)
-            fd_ok = fd_rel < case.opts["phi_fd_rel_tol"]
+            fd_ok = fd_rel < PHI_FD_REL_TOL
         else:
             fd_rel = abs(dphi - fd)
             fd_ok = fd_rel < 1e-8
@@ -293,7 +313,7 @@ def _routes(case):
         ns = list(range(-n_max, n_max + 1))
         disp = [n * q for n in ns]
         for t_scale in case.time_scales:
-            by_time = abel_probability_time(model, disp, t_scale, config)
+            by_time = abel_probability_time(model, disp, t_scale)
             prof = abel_resolvent_profile(model, disp, t_scale, config)
             floq = abel_probability_floquet(model, disp, t_scale, config,
                                             route="kernel")
@@ -312,10 +332,10 @@ def _routes(case):
 
 
 def _unitarity(case):
-    t_scale, config = case.time_scales[0], case.config
+    t_scale = case.time_scales[0]
     for idx, model in enumerate(case.models):
-        op = finite_operator(model, truncation_radius(t_scale, 1, config))
-        horizon = abel_horizon(t_scale, config.tail_tolerance)
+        op = finite_operator(model, truncation_radius(t_scale, 1))
+        horizon = abel_horizon(t_scale)
         for frac in (0.3, 0.6, 1.0):
             t = frac * horizon
             psi = evolve(op, [t])[0]
@@ -368,12 +388,11 @@ def _ballistic(case):
 
 
 def _moments(case):
-    config = case.config
     free10, free20 = (finite_operator(PeriodicModel.from_potential([0.0]),
-                                      truncation_radius(t, 1, config))
+                                      truncation_radius(t, 1))
                       for t in (10.0, 20.0))
-    m10 = moments(free10, 10.0, orders=(2,), config=config).moment(2)
-    m20 = moments(free20, 20.0, orders=(2,), config=config).moment(2)
+    m10 = moments(free10, 10.0, orders=(2,)).moment(2)
+    m20 = moments(free20, 20.0, orders=(2,)).moment(2)
     ratio = m20 / m10
     err = abs(ratio / 4.0 - 1.0)
     yield {"kind": "free_scaling", "ratio": ratio, "error": err,
@@ -381,10 +400,10 @@ def _moments(case):
     audit = [("free", free20, 20.0), ("free", free10, 10.0)]
     for idx, model in enumerate(case.models):
         for t_scale in (5.0, 20.0):
-            op = finite_operator(model, truncation_radius(t_scale, 1, config))
+            op = finite_operator(model, truncation_radius(t_scale, 1))
             audit.append((f"model{idx}", op, t_scale))
     for name, op, t_scale in audit:
-        mom = moments(op, t_scale, orders=(1, 2, 4), config=config)
+        mom = moments(op, t_scale, orders=(1, 2, 4))
         for p in (1, 2, 4):
             env = frozen.MOMENT_PREFACTOR * math.factorial(p) \
                 * (t_scale ** p + 1.0)
@@ -392,34 +411,32 @@ def _moments(case):
             yield {"kind": "envelope", "instance": name,
                    "time_scale": t_scale, "order": p, "value": val,
                    "envelope": env, **_under(val, env, strict=False)}
-    small = moments(case.q2_model, 0.01, orders=(2,),
-                    config=config).moment(2)
+    small = moments(case.q2_model, 0.01, orders=(2,)).moment(2)
     yield {"kind": "small_time", "value": small,
            **_under(small, 1e-2, rel=False)}
 
 
 def _truncation(case):
-    t_scale, config = case.time_scales[0], case.config
-    r0 = truncation_radius(t_scale, 2, config)
-    p1 = abel_probability_time(case.q2_model, 1, t_scale, config, radius=r0)
-    p2 = abel_probability_time(case.q2_model, 1, t_scale, config,
-                               radius=2 * r0)
+    t_scale = case.time_scales[0]
+    r0 = truncation_radius(t_scale, 2)
+    p1 = abel_probability_time(case.q2_model, 1, t_scale, radius=r0)
+    p2 = abel_probability_time(case.q2_model, 1, t_scale, radius=2 * r0)
     diff = abs(p1 - p2)
-    yield {"kind": "doubling", "difference": diff,
-           "tolerance": config.tail_tolerance,
-           **_under(diff, config.tail_tolerance)}
+    tol = transport.TAIL_TOLERANCE
+    yield {"kind": "doubling", "difference": diff, "tolerance": tol,
+           **_under(diff, tol)}
     env = frozen.TRUNC_PREFACTOR \
-        * math.exp(-frozen.TRUNC_RATE * config.truncation_pad)
+        * math.exp(-frozen.TRUNC_RATE * transport.TRUNCATION_PAD)
     yield {"kind": "envelope", "difference": diff, "envelope": env,
            **_under(diff, env, strict=False)}
 
 
 def _abel(case):
-    t_scale, config = case.time_scales[0], case.config
-    op = finite_operator(case.q2_model, truncation_radius(t_scale, 2, config))
-    horizon = abel_horizon(t_scale, config.tail_tolerance)
+    t_scale = case.time_scales[0]
+    op = finite_operator(case.q2_model, truncation_radius(t_scale, 2))
+    horizon = abel_horizon(t_scale)
     for n in (0, 1):
-        p_kernel = abel_probability_time(op, n, t_scale, config)
+        p_kernel = abel_probability_time(op, n, t_scale)
 
         def integrand(ts):
             a0 = evolve(op, ts, 0, [n])[:, 0]
@@ -511,11 +528,7 @@ def _run_suite(check_id: str, suite: str, checks, cases,
 def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
                            seed: int = 0, checks=None,
                            samples_per_model: int = 4,
-                           corrupt_corner: bool = False,
-                           det_tol: float = 1e-8,
-                           deriv_rel_tol: float = 1e-4,
-                           weight_tol: float = 1e-10,
-                           phi_fd_rel_tol: float = 1e-3) -> VerificationReport:
+                           corrupt_corner: bool = False) -> VerificationReport:
     """Re-measure the fiber-matrix identities and inequalities on an ensemble.
 
     corrupt_corner=True multiplies one corner of the fiber matrix by a
@@ -524,13 +537,15 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
     """
     if models is None:
         models = random_periodic_ensemble(count, q_max, seed)
-    opts = {"corrupt_corner": corrupt_corner, "det_tol": det_tol,
-            "deriv_rel_tol": deriv_rel_tol, "weight_tol": weight_tol,
-            "phi_fd_rel_tol": phi_fd_rel_tol}
-    cases = (_FloquetCase(idx, model, seed, samples_per_model, opts)
+    cases = (_FloquetCase(idx, model, seed, samples_per_model, corrupt_corner)
              for idx, model in enumerate(models))
     snapshot = {"count": len(models), "q_max": q_max, "seed": seed,
-                "samples_per_model": samples_per_model, **opts}
+                "samples_per_model": samples_per_model,
+                "corrupt_corner": corrupt_corner,
+                "constants": {"V_SCALE": V_SCALE, "DET_TOL": DET_TOL,
+                              "DERIV_REL_TOL": DERIV_REL_TOL,
+                              "WEIGHT_TOL": WEIGHT_TOL,
+                              "PHI_FD_REL_TOL": PHI_FD_REL_TOL}}
     return _run_suite("floquet_identities", "floquet", checks, cases,
                       snapshot)
 
@@ -559,13 +574,12 @@ def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
     snapshot = {"models": [list(np.asarray(m.potential)) for m in models],
                 "time_scales": list(time_scales), "max_site": max_site,
                 "route_rel_tol": route_rel_tol, "config": asdict(config),
-                "constants": {"CT_RATE": frozen.CT_RATE,
-                              "CT_PREFACTOR": frozen.CT_PREFACTOR,
-                              "BALLISTIC_PREFACTOR":
-                              frozen.BALLISTIC_PREFACTOR,
-                              "MOMENT_PREFACTOR": frozen.MOMENT_PREFACTOR,
-                              "TRUNC_RATE": frozen.TRUNC_RATE,
-                              "TRUNC_PREFACTOR": frozen.TRUNC_PREFACTOR}}
+                "constants": {
+                    **{n: getattr(frozen, n) for n in (
+                        "CT_RATE", "CT_PREFACTOR", "BALLISTIC_PREFACTOR",
+                        "MOMENT_PREFACTOR", "TRUNC_RATE", "TRUNC_PREFACTOR")},
+                    **{n: getattr(transport, n) for n in
+                       (*transport.TIME_ROUTE_CONSTANTS, "MAX_KAPPA_POINTS")}}}
     return _run_suite("transport_consistency", "transport", checks, [case],
                       snapshot)
 
@@ -622,13 +636,13 @@ def minimal_admissible_time(q: int, eta: float, ell: float,
 
 
 def _scan_window(model: PeriodicModel, interval, time_scale: float,
-                 constants, kappa_grid: int):
+                 constants):
     c, c1, cap = constants
     q = model.q
     if q < 2:
         raise InputError("the lower-bound scan needs q >= 2")
     _check_time_scale(time_scale)
-    eta, _ = measure_kappa_infimum(model, interval, kappa_grid)
+    eta, _ = measure_kappa_infimum(model, interval, SCAN_KAPPA_GRID)
     if eta <= 0:
         raise InputError(
             f"measure infimum vanishes on {interval}; the lower-bound "
@@ -673,7 +687,6 @@ def _window_integers(n_lo: int, n_hi: int, max_points: int):
 def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
                      constants=None,
                      config: EvolutionConfig = DEFAULT_CONFIG,
-                     kappa_grid: int = 64,
                      max_points: int = 256) -> LowerBoundScan:
     """Measure P(nq; T) across the admissible window of the band
     lower bound and compare against c eta^2 / (q^6 ell T).
@@ -686,7 +699,7 @@ def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
         (frozen.LOWER_C, frozen.LOWER_C1, frozen.LOWER_CAP)
     c = constants[0]
     eta, j, ell, n_lo, n_hi, threshold = _scan_window(
-        model, interval, time_scale, constants, kappa_grid)
+        model, interval, time_scale, constants)
     q = model.q
     rhs = c * eta ** 2 / (q ** 6 * ell * time_scale)
     ns = _window_integers(n_lo, n_hi, max_points)
@@ -696,7 +709,7 @@ def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
     return LowerBoundScan(q=q, theta=model.theta, eta=eta, band_index=j,
                           band_width=ell, time_scale=float(time_scale),
                           window=(n_lo, n_hi), pairs=tuple(pairs),
-                          constants=constants, kappa_grid=kappa_grid,
+                          constants=constants, kappa_grid=SCAN_KAPPA_GRID,
                           threshold_time=threshold)
 
 
@@ -716,20 +729,18 @@ class CalibrationResult:
 
 
 def calibrate_lower_bound(model: PeriodicModel, interval, time_scale: float,
-                          c1: float | None = None, cap: float | None = None,
                           config: EvolutionConfig = DEFAULT_CONFIG,
-                          kappa_grid: int = 64, max_points: int = 256,
-                          safety: float = 0.5) -> CalibrationResult:
+                          max_points: int = 256) -> CalibrationResult:
     """Regenerate the lower-bound constant on an instance.
 
-    Runs the window scan with c left free, reports the smallest measured
-    ratio and safety * min_ratio as the constant a re-calibration would
-    freeze.  The test suite compares suggested_c against the frozen value.
+    Runs the window scan with c left free and the frozen c1 and cap,
+    reports the smallest measured ratio and CALIBRATION_SAFETY * min_ratio
+    as the constant a re-calibration would freeze.  The test suite compares
+    suggested_c against the frozen value.
     """
-    c1 = c1 if c1 is not None else frozen.LOWER_C1
-    cap = cap if cap is not None else frozen.LOWER_CAP
-    scan = lower_bound_scan(model, interval, time_scale, (0.0, c1, cap),
-                            config, kappa_grid, max_points)
+    scan = lower_bound_scan(model, interval, time_scale,
+                            (0.0, frozen.LOWER_C1, frozen.LOWER_CAP),
+                            config, max_points)
     q, ell, eta = scan.q, scan.band_width, scan.eta
     ratios = tuple((n, p * q ** 6 * ell * time_scale / eta ** 2)
                    for n, p, _ in scan.pairs)
@@ -738,7 +749,7 @@ def calibrate_lower_bound(model: PeriodicModel, interval, time_scale: float,
                              band_width=ell, time_scale=scan.time_scale,
                              window=scan.window, ratios=ratios,
                              min_ratio=min_ratio,
-                             suggested_c=safety * min_ratio)
+                             suggested_c=CALIBRATION_SAFETY * min_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +758,7 @@ def calibrate_lower_bound(model: PeriodicModel, interval, time_scale: float,
 
 def bandwidth_proposition_check(f, freq: Frequency, depths,
                                 theta: float = 0.0, epsilon: float = 0.2,
-                                theta_count: int = 256,
-                                n_steps: int | None = None,
-                                seed=None) -> VerificationReport:
+                                theta_count: int = 256) -> VerificationReport:
     """Per-depth minima of log(ell_j)/q + gamma_hat(band center).
 
     The growth-rate estimate is scale-matched: at depth m it runs the
@@ -783,9 +792,8 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
             raise DepthLimitError(
                 f"bandwidth underflow at depth {m} (q = {qm}): smallest "
                 f"band {float(np.min(widths)):.3g}", achieved_depth=done)
-        steps = int(n_steps) if n_steps is not None else qm
-        gams = [lyapunov_exponent(f, alpha_float, center, n_steps=steps,
-                                  theta_count=theta_count, seed=seed).gamma_hat
+        gams = [lyapunov_exponent(f, alpha_float, center, n_steps=qm,
+                                  theta_count=theta_count).gamma_hat
                 for center in bs.centers]
         val, j, gam = min((math.log(w) / qm + g, j, g) for j, (w, g)
                           in enumerate(zip(widths, gams), start=1))
@@ -808,9 +816,7 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
                          "to_depth": depths[i + 1], "gain": gain,
                          "margin": gain + 1e-9, "ok": gain >= -1e-9})
     snapshot = {"depths": depths, "theta": theta, "epsilon": epsilon,
-                "theta_count": theta_count,
-                "n_steps": n_steps if n_steps is not None
-                else "q_m (scale-matched)",
+                "theta_count": theta_count, "n_steps": "q_m (scale-matched)",
                 "trend": trend}
     return _make_report("bandwidth_proposition", rows, snapshot)
 
@@ -820,8 +826,7 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
 # ---------------------------------------------------------------------------
 
 def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
-                      theta: float = 0.0, u=(1.0, 0.0),
-                      max_orbit: int = 1_000_000) -> VerificationReport:
+                      theta: float = 0.0, u=(1.0, 0.0)) -> VerificationReport:
     """Per-depth near-periodicity differences and the four-block statistic.
 
     For each depth the periodic block A over one period of the approximant
@@ -831,7 +836,7 @@ def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
     between the two orbits over two periods (both directions).  One paired
     orbit per direction yields all three: the gaps, the quasiperiodic
     values and the periodic block values.  Overflow at a depth, a
-    convergent outside (0, 1), or an orbit longer than max_orbit,
+    convergent outside (0, 1), or an orbit longer than MAX_ORBIT,
     truncates the report there.
     """
     depths = [int(m) for m in np.atleast_1d(depths)]
@@ -849,9 +854,9 @@ def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
     for m in depths:
         am = freq.convergent(m)
         qm = am.denominator
-        if 2 * qm > max_orbit:
+        if 2 * qm > MAX_ORBIT:
             truncated_at = m
-            reason = f"orbit length {2 * qm} exceeds max_orbit {max_orbit}"
+            reason = f"orbit length {2 * qm} exceeds max_orbit {MAX_ORBIT}"
             break
         # column 0 is the true orbit, column 1 the approximant's, whose
         # values at n = q and 2q are A u and A^2 u for the period block A
@@ -944,22 +949,19 @@ class TheoremDemoReport:
         return tuple(p for p in self.points if p.feasible)
 
 
-def _theta_minima(f, alpha: float, thetas, time_scale: float, p_list,
-                  config: EvolutionConfig):
+def _theta_minima(f, alpha: float, thetas, time_scale: float, p_list):
     values = {p: [] for p in p_list}
     for theta in thetas:
         mom = moments(Chain(f, alpha, float(theta)), time_scale,
-                      orders=p_list, config=config)
+                      orders=p_list)
         for p in p_list:
             values[p].append(mom.moment(p))
     return values
 
 
 def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
-                 config: EvolutionConfig = DEFAULT_CONFIG,
                  theta_grid: int = 64, beta_target: float = 2.0,
-                 max_radius: int = 2500, probe_steps: int = 2000,
-                 probe_thetas: int = 32) -> TheoremDemoReport:
+                 max_radius: int = 2500) -> TheoremDemoReport:
     """Desk-scale run of the moment lower-bound pipeline.
 
     Probes the growth rate gamma0 and its argmin energy E0 on a moderate
@@ -994,8 +996,8 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
         model = periodic_model(f, freq.convergent(m), 0.0)
         bs = band_structure(model)
         probe = min_lyapunov_on_spectrum(f, freq.float_value, bs.centers,
-                                         n_steps=probe_steps,
-                                         theta_count=probe_thetas)
+                                         n_steps=PROBE_STEPS,
+                                         theta_count=PROBE_THETAS)
         return m, model, bs, probe
 
     bumped = False
@@ -1039,7 +1041,7 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
     thetas_half = (np.arange(theta_grid) + 0.5) / theta_grid
     for k, (idx, qm, t_scale) in enumerate(
             zip(sched.indices, sched.denominators, sched.times), start=1):
-        radius = truncation_radius(t_scale, 1, config) \
+        radius = truncation_radius(t_scale, 1) \
             if math.isfinite(t_scale) else None
         if radius is None or radius > max_radius:
             points.append(TheoremDemoPoint(
@@ -1049,10 +1051,9 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
                 if radius is None else
                 f"needs lattice radius {radius} > budget {max_radius}"))
             continue
-        base = _theta_minima(f, freq.float_value, thetas, t_scale, p_list,
-                             config)
+        base = _theta_minima(f, freq.float_value, thetas, t_scale, p_list)
         refine = _theta_minima(f, freq.float_value, thetas_half, t_scale,
-                               p_list, config)
+                               p_list)
         mins, argmins, changes = {}, {}, []
         for p in p_list:
             arr = np.asarray(base[p])
@@ -1076,9 +1077,12 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
     snapshot = {"delta": delta, "depth_budget": depth_budget,
                 "p_list": list(p_list), "theta_grid": theta_grid,
                 "beta_target_bumped": bumped, "probe_depth": probe_m,
-                "probe_q": probe_model.q, "probe_steps": probe_steps,
-                "probe_thetas": probe_thetas, "gamma_raw": gamma_raw,
-                "max_radius": max_radius, "config": asdict(config),
+                "probe_q": probe_model.q, "gamma_raw": gamma_raw,
+                "max_radius": max_radius,
+                "constants": {**{n: getattr(transport, n)
+                                 for n in transport.TIME_ROUTE_CONSTANTS},
+                              "PROBE_STEPS": PROBE_STEPS,
+                              "PROBE_THETAS": PROBE_THETAS},
                 "qualifying": sched.size,
                 "note": "" if sched.size else
                 "no qualifying convergent within the depth budget"}

@@ -42,8 +42,9 @@ def test_criterion_01_fiber_determinant_identity():
     t0 = time.perf_counter()
     rep = vf.floquet_identity_suite(count=100, q_max=12, seed=11,
                                     checks=("determinant",),
-                                    samples_per_model=4, det_tol=1e-8)
+                                    samples_per_model=4)
     elapsed = time.perf_counter() - t0
+    assert rep.config_snapshot["constants"]["DET_TOL"] == 1e-8
     _report(1, f"det identity on {rep.instances} random (model, kappa, E) "
                f"draws, {rep.violations} violations, "
                f"worst margin {rep.worst_margin:.3e}",
@@ -53,9 +54,9 @@ def test_criterion_01_fiber_determinant_identity():
 def test_criterion_02_eigenvalue_derivative_identity():
     t0 = time.perf_counter()
     rep = vf.floquet_identity_suite(count=60, q_max=10, seed=2,
-                                    checks=("derivative", "sandwich"),
-                                    deriv_rel_tol=1e-4)
+                                    checks=("derivative", "sandwich"))
     elapsed = time.perf_counter() - t0
+    assert rep.config_snapshot["constants"]["DERIV_REL_TOL"] == 1e-4
     _report(2, f"derivative identity vs central differences on "
                f"{rep.instances} samples, {rep.violations} violations",
             rep.instances >= 200 and rep.violations == 0, elapsed, 30.0)
@@ -90,8 +91,8 @@ def test_criterion_04_three_route_probability_agreement():
 def test_criterion_05_conservation_and_normalization():
     t0 = time.perf_counter()
     weights = vf.floquet_identity_suite(count=40, q_max=10, seed=5,
-                                        checks=("weights",),
-                                        weight_tol=1e-10)
+                                        checks=("weights",))
+    assert weights.config_snapshot["constants"]["WEIGHT_TOL"] == 1e-10
     unitarity = vf.transport_consistency_suite(checks=("unitarity",))
     det_worst = 0.0
     for chain, e in ((Chain(AmoSampling(1.5), GOLDEN, 0.3), 0.5),

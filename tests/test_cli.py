@@ -4,6 +4,7 @@ reproducibility, sweep determinism, and the exit-code contract."""
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -196,6 +197,25 @@ class TestExitCodes:
         assert not (tmp_path / "new").exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, name", [
+        (["discriminant", "--count", "-1"], "count"),
+        (["lyapunov", "--e-min", "-1", "--e-max", "1", "--e-count", "-2"],
+         "e_count"),
+        (["lyapunov", "--e-min", "-1", "--e-max", "1", "--e-count", "0"],
+         "e_count"),
+        (["sweep", "--thetas", "grid:2", "--times", "2", "--jobs", "0"],
+         "jobs"),
+        (["sweep", "--thetas", "grid:2", "--times", "2", "--jobs", "-3"],
+         "jobs"),
+    ], ids=["count-negative", "e-count-negative", "e-count-zero", "jobs-zero",
+            "jobs-negative"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, argv,
+                                            name):
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{name} = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_leaves_no_default_directory(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -258,19 +278,22 @@ class TestConfigLayering:
         assert manifest["config"]["time_scale"] == 4.0  # ini supplied
         assert manifest["config"]["orders"] == [2.0]
 
-    @pytest.mark.parametrize("ini_text, key", [
-        ("[moments]\nlambda = 3.0\n", "lambda"),
-        ("[run]\nsed = 4\n", "sed"),
-    ], ids=["command-section", "run-section"])
-    def test_unknown_ini_key_rejected(self, tmp_path, capsys, ini_text, key):
+    @pytest.mark.parametrize("ini_text, keys", [
+        ("[moments]\nlambda = 3.0\n", ["lambda"]),
+        ("[run]\nsed = 4\n", ["sed"]),
+        # run keys that only other commands read
+        ("[run]\nseed = 3\njobs = 4\n", ["seed", "jobs"]),
+    ], ids=["command-section", "run-section", "run-keys-of-other-commands"])
+    def test_unknown_ini_key_rejected(self, tmp_path, capsys, ini_text, keys):
         ini = tmp_path / "qpt.ini"
         out = tmp_path / "run"
         ini.write_text(ini_text)
         code = main(["moments", "--config", str(ini), "--freq", "2/5",
                      "--time-scale", "3", "--out", str(out)])
         assert code == 2
-        assert repr(key) in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        err = capsys.readouterr().err
+        assert all(repr(key) in err for key in keys)
+        assert not out.exists()
 
     def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "envdir"
@@ -334,6 +357,11 @@ CONFIG_PINS = [
       "n_steps": 10000, "orders": [2.0], "radius": None, "seed": 0,
       "theta": 0.0, "theta_count": 16, "theta_mode": "golden",
       "time_scale": 3.0}),
+    (["lyapunov", "--e-min", "0", "--e-max", "1", "--n-steps", "200",
+      "--theta-count", "2"], "[run]\nseed = 3\n",
+     {**AMO_DEFAULTS, "e_count": 17, "e_max": 1.0, "e_min": 0.0,
+      "energies": None, "freq": GOLDEN_SPEC, "n_steps": 200, "seed": 3,
+      "theta_count": 2, "theta_mode": "golden"}),
     (["freq"], "[freq]\nfreq = 3/8\n",
      {"freq": {"den": 8, "kind": "rational", "num": 3}}),
     (["sweep", "--lambda", "2.0", "--times", "2,3"],
@@ -389,6 +417,19 @@ class TestManifest:
         assert "numpy" in m["versions"] and "qptransport" in m["versions"]
         assert m["timings"]["total_seconds"] >= 0
         assert "moments.csv" in m["artifacts"]
+
+    def test_manifest_records_blas_threads(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["freq", "3/8", "--out", str(out)]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["threads"] == {"OMP_NUM_THREADS": "3",
+                                "OPENBLAS_NUM_THREADS": None,
+                                "MKL_NUM_THREADS": None,
+                                "cpu_count": os.cpu_count()}
 
     @pytest.mark.parametrize("argv, edit, named", [
         (["moments", "--freq", "2/5", "--time-scale", "3"],

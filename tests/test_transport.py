@@ -142,7 +142,7 @@ def floquet_oracle(model, displacement, time_scale, route,
     if kappa_points is not None:
         return value(kappa_points), kappa_points
     points, prev = 256, None
-    while points <= config.max_kappa_points:
+    while points <= tr.MAX_KAPPA_POINTS:
         val = value(points)
         if prev is not None and abs(val - prev) <= 10.0 * \
                 config.energy_rel_tol * max(abs(val), abs(prev), 1e-300) \
@@ -297,7 +297,7 @@ class TestTimeWindow:
 
 class TestRadii:
     def test_horizon_formula(self):
-        assert tr.abel_horizon(10.0, 1e-6) == pytest.approx(
+        assert tr.abel_horizon(10.0) == pytest.approx(
             5.0 * math.log(4e6))
 
     def test_radius_grows_with_time(self):
@@ -310,8 +310,6 @@ class TestRadii:
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             tr.abel_horizon(0.0)
-        with pytest.raises(InputError):
-            tr.abel_horizon(5.0, tail_tolerance=2.0)
 
 
 TWO_PERIODIC = periodic_model(AmoSampling(1.0), Fraction(1, 2), 0.0)
@@ -722,15 +720,15 @@ class TestFloquetWindow:
             assert got == tr.abel_probability_floquet(
                 self.MODEL, d, 5.0, route="energy", kappa_points=32)
 
-    def test_unconverged_window_names_its_displacements(self):
+    def test_unconverged_window_names_its_displacements(self, monkeypatch):
         # the free period-2 lattice needs 65,536 points at T = 8403; with a
         # 1,024-point cap neither displacement settles
         model = PeriodicModel.from_potential([0.0, 0.0])
-        cfg = tr.EvolutionConfig(max_kappa_points=1024)
+        monkeypatch.setattr(tr, "MAX_KAPPA_POINTS", 1024)
         with pytest.raises(NumericalError,
                            match=r"displacements \[0, 6\] last changed by "
                                  r"\S+, \S+ at 1024"):
-            tr.abel_probability_floquet(model, [6, 0], 8403.0, cfg)
+            tr.abel_probability_floquet(model, [6, 0], 8403.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(InputError, match="displacement"):

@@ -543,3 +543,26 @@ class TestTheoremDemo:
         assert rep.eps_prime > 0
         assert rep.config_snapshot["probe_q"] >= 2
         assert len(rep.feasible_points) >= 1
+
+
+#: the time route's fixed numerics, which every report that runs the time
+#: route records by name
+TIME_ROUTE_VALUES = {"TAIL_TOLERANCE": 1e-6, "TRUNCATION_SPEED": 2.2,
+                     "TRUNCATION_PAD": 48.0, "BOUNDARY_WIDTH": 8,
+                     "BOUNDARY_MASS_TOL": 1e-7}
+
+
+def test_reports_record_their_fixed_numerics():
+    floquet = vf.floquet_identity_suite(count=1, q_max=3,
+                                        checks=("weights",))
+    assert floquet.config_snapshot["constants"] == {
+        "V_SCALE": 2.0, "DET_TOL": 1e-8, "DERIV_REL_TOL": 1e-4,
+        "WEIGHT_TOL": 1e-10, "PHI_FD_REL_TOL": 1e-3}
+    transport = vf.transport_consistency_suite(checks=("t0",))
+    assert transport.config_snapshot["config"] == {"energy_rel_tol": 1e-4}
+    assert transport.config_snapshot["constants"].items() >= {
+        **TIME_ROUTE_VALUES, "MAX_KAPPA_POINTS": 65536}.items()
+    demo = vf.theorem_demo(ZeroSampling(), 0.45, depth_budget=2,
+                           theta_grid=1)
+    assert demo.config_snapshot["constants"] == {
+        **TIME_ROUTE_VALUES, "PROBE_STEPS": 2000, "PROBE_THETAS": 32}
