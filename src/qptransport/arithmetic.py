@@ -26,7 +26,7 @@ RATIONALIZE_DENOMINATOR = 1 << 96
 # Largest allowed exponent x when the ladder construction needs ceil(e^x).
 # Beyond this the next denominator would have ~13000 digits and downstream
 # consumers could never sample with it anyway.
-DEFAULT_MAX_EXPONENT = 3.0e4
+MAX_EXPONENT = 3.0e4
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,8 @@ def _ceil_exp_int(x: float) -> int:
         return int(mpmath.ceil(mpmath.exp(mpmath.mpf(x))))
 
 
-def construct_liouville_frequency(beta_target: float, q1: int, depth: int,
-                                  max_exponent: float = DEFAULT_MAX_EXPONENT,
-                                  ) -> Frequency:
+def construct_liouville_frequency(beta_target: float, q1: int,
+                                  depth: int) -> Frequency:
     """Build a frequency whose denominator ladder grows like e^(beta_target * q).
 
     Starting from q_1 = q1, each step targets Q = ceil(exp(beta_target * q_m))
@@ -161,7 +160,7 @@ def construct_liouville_frequency(beta_target: float, q1: int, depth: int,
     stored convergents exactly.
 
     Raises DepthLimitError (with achieved_depth) once beta_target * q_m
-    exceeds max_exponent.
+    exceeds MAX_EXPONENT.
     """
     if not beta_target > 0:
         raise InputError(f"beta_target must be positive, got {beta_target}")
@@ -174,10 +173,10 @@ def construct_liouville_frequency(beta_target: float, q1: int, depth: int,
     p_cur, q_cur = 1, q1    # a_1 = q1 gives the convergent 1/q1
     for m in range(2, depth + 1):
         x = beta_target * q_cur
-        if x > max_exponent:
+        if x > MAX_EXPONENT:
             raise DepthLimitError(
-                f"step {m}: exponent {x:.3g} exceeds max_exponent "
-                f"{max_exponent:.3g}", achieved_depth=m - 1)
+                f"step {m}: exponent {x:.3g} exceeds MAX_EXPONENT "
+                f"{MAX_EXPONENT:.3g}", achieved_depth=m - 1)
         target = _ceil_exp_int(x)
         a = max(1, (target - q_prev) // q_cur)
         if m == depth and a == 1:

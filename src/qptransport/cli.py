@@ -46,8 +46,8 @@ from .operator import (AmoSampling, Chain, TableSampling, ZeroSampling,
                        periodic_model)
 from .transfer import lyapunov_exponent
 from .transport import moments, probability_distribution, truncation_radius
-from .verify import (CHECKS, floquet_identity_suite, suite_checks,
-                     theorem_demo, transport_consistency_suite)
+from .verify import (CHECKS, ENSEMBLE_Q_MIN, floquet_identity_suite,
+                     suite_checks, theorem_demo, transport_consistency_suite)
 
 MANIFEST_SCHEMA = "qpt-manifest/1"
 OUT_ENV_VAR = "QPT_OUT"
@@ -599,11 +599,17 @@ def _csv_floats(text: str):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is not a positive integer")
-    return value
+def _int_at_least(low: int) -> Callable:
+    """The cast of an integer parameter whose library lower limit is low."""
+    def cast(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{value} is below the lower limit {low}")
+        return value
+    return cast
+
+
+_positive_int = _int_at_least(1)
 
 
 def _truthy(text: str) -> bool:
@@ -644,8 +650,8 @@ SEED = Param("seed", int, "0", "seed for randomized pieces", run=True)
 
 
 def _lyapunov(theta_count: str):
-    return (Param("n_steps", int, "10000"),
-            Param("theta_count", int, theta_count),
+    return (Param("n_steps", _positive_int, "10000"),
+            Param("theta_count", _positive_int, theta_count),
             Param("theta_mode", str, "golden", choices=("golden", "random")),
             SEED)
 
@@ -660,7 +666,7 @@ FREQ = Param("freq", parse_freq_spec, "0.6180339887498949",
 PERIODIC_FREQ = FREQ._replace(default="8/13")
 THETA = Param("theta", float, "0.0", "phase offset")
 E_RANGE = (Param("e_min", float), Param("e_max", float))
-KAPPA_GRID = Param("kappa_grid", int, "64")
+KAPPA_GRID = Param("kappa_grid", _int_at_least(2), "64")
 TIME_SCALE = Param("time_scale", float, "20.0")
 ORDERS = Param("orders", _csv_floats, "1,2", "comma-separated moment orders")
 RADIUS = Param("radius", int)
@@ -679,7 +685,7 @@ COMMANDS = {
          Param("count", _positive_int, "512"))),
     "measure": Command(
         "uniform spectral-measure lower bound eta", _run_measure,
-        (*SAMPLING, PERIODIC_FREQ, *E_RANGE, Param("theta_grid", int, "16"),
+        (*SAMPLING, PERIODIC_FREQ, *E_RANGE, Param("theta_grid", _positive_int, "16"),
          KAPPA_GRID)),
     "lyapunov": Command(
         "phase-averaged Lyapunov estimates", _run_lyapunov,
@@ -697,8 +703,8 @@ COMMANDS = {
         "identity and consistency suites", _run_verify,
         (Param("suite", str, "all", flag="suite",
                choices=(*VERIFY_SUITES, "all")),
-         Param("trials", int, "20", "random models for floquet"),
-         Param("q_max", int, "8"),
+         Param("trials", _positive_int, "20", "random models for floquet"),
+         Param("q_max", _int_at_least(ENSEMBLE_Q_MIN), "8"),
          Param("samples_per_model", int, "4"),
          SEED,
          Param("checks", _check_names, None, "comma-separated check subset"),
@@ -710,7 +716,7 @@ COMMANDS = {
     "theorem-demo": Command(
         "end-to-end subsequence transport demonstration", _run_theorem_demo,
         (*SAMPLING, Param("delta", float, "0.45"),
-         Param("depth_budget", int, "3"), Param("theta_grid", int, "64"),
+         Param("depth_budget", int, "3"), Param("theta_grid", _positive_int, "64"),
          Param("p_list", _csv_floats, "1,2", "comma-separated moment orders"),
          Param("beta_target", float, "2.0"),
          Param("max_radius", int, "2500"))),

@@ -35,6 +35,8 @@ _EPS_CUBE_ROOT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 DEGENERATE_DISCRIMINANT_TOL = 1e-8
 # eigenvalue gaps below this make the perturbation series unusable
 MIN_PERTURBATION_GAP = 1e-7
+# quasimomentum grid of phi_occupation_measure
+OCCUPATION_KAPPA_GRID = 256
 
 
 def floquet_matrix(model: PeriodicModel, kappa: float) -> np.ndarray:
@@ -370,16 +372,16 @@ def measure_uniform_lower_bound(f: SamplingFunction, alpha: Fraction,
                              kappa_count=kappa_grid)
 
 
-def phi_occupation_measure(model: PeriodicModel, j: int, threshold: float,
-                           kappa_grid: int = 256) -> float:
+def phi_occupation_measure(model: PeriodicModel, j: int,
+                           threshold: float) -> float:
     """Lebesgue measure (on [0, pi/q]) of {kappa : phi_j(kappa) > threshold},
-    estimated on a uniform grid."""
+    estimated on a uniform grid of OCCUPATION_KAPPA_GRID points."""
     q = model.q
     if q < 2:
         raise InputError("phi occupation needs q >= 2")
     if not 1 <= j <= q:
         raise InputError(f"band index {j} outside 1..{q}")
     _, phi = fiber_eigensystems(model, np.linspace(0.0, math.pi / q,
-                                                   kappa_grid))
+                                                   OCCUPATION_KAPPA_GRID))
     count = int(np.count_nonzero(phi[:, j - 1] > threshold))
-    return (count / kappa_grid) * (math.pi / q)
+    return (count / OCCUPATION_KAPPA_GRID) * (math.pi / q)

@@ -18,6 +18,9 @@ import scipy.linalg
 from .errors import InputError
 
 TWO_PI = 2.0 * math.pi
+#: most band entries (three per row) one banded solve of
+#: FiniteOperator.resolvent takes; larger batches of z are solved in chunks
+_BAND_CHUNK = 1 << 18
 
 
 class SamplingFunction:
@@ -227,20 +230,67 @@ class FiniteOperator:
             self._eig = (w, u)
         return self._eig
 
-    def resolvent(self, z: complex, sources=(0,)) -> np.ndarray:
-        """Columns G(., s; z) = (H - z)^(-1) delta_s, one per source site s,
-        from one banded solve."""
-        diag, off = self.tridiagonal()
-        ab = np.zeros((3, self.dimension), dtype=complex)
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        ab[1, :] = diag - z
-        rhs = np.zeros((self.dimension, len(sources)), dtype=complex)
-        for k, s in enumerate(sources):
-            rhs[self.site_index(s), k] = 1.0
-        # both arrays are built per call, so the solver may work in place
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, overwrite_ab=True,
-                                         overwrite_b=True, check_finite=False)
+    def resolvent(self, z, sources=(0,), window=None) -> np.ndarray:
+        """Entries G(n, s; z) = (H - z)^(-1)(n, s) for each site n of
+        window = (lo, hi) (the whole lattice when None) and each source s in
+        it: shape (sites, sources) for one z, one such block per entry for
+        an array of z.
+
+        The lattice outside the window enters as two boundary self-energies:
+        the Dirichlet continued fractions x <- 1/(V_k - z - x) swept in from
+        each edge (Weyl m-functions; Teschl, Jacobi Operators and Completely
+        Integrable Nonlinear Lattices, AMS 2000, ch. 2), both edges in one
+        loop over every z.  With Im z != 0 each denominator has |Im| >=
+        |Im z| (by induction from x = 0), so the sweep needs no pivoting.
+        The window systems of all z are then solved as one block-diagonal
+        band, at most _BAND_CHUNK band entries per banded solve.
+        """
+        zs = np.asarray(z, dtype=complex)
+        lo, hi = (-self.N, self.N) if window is None else window
+        a, b = self.site_index(lo), self.site_index(hi)
+        cols = [self.site_index(s) - a for s in sources]
+        if not all(0 <= c <= b - a for c in cols):
+            raise InputError(f"sources {sources} outside the window "
+                             f"[{lo}, {hi}]")
+        flat = zs.reshape(-1)
+        # the sweeps run aligned at the window, row 0 over the sites
+        # 0 .. a-1 and row 1 over dim-1 .. b+1; the shorter one is padded at
+        # its start and set back to x = 0 where its own sites begin
+        outer = (a, self.dimension - 1 - b)
+        steps, pad = max(outer), max(outer) - min(outer)
+        if steps and np.any(flat.imag == 0.0):
+            raise InputError("a window inside the lattice needs Im z != 0")
+        pot = np.zeros((steps, 2, 1))
+        pot[steps - a:, 0, 0] = self.diagonal[:a]
+        pot[steps - outer[1]:, 1, 0] = self.diagonal[:b:-1]
+        x = np.zeros((2, flat.size), dtype=complex)
+        per = max(1, _BAND_CHUNK // (2 * flat.size))
+        for first in range(0, steps, per):
+            for k, v in enumerate(pot[first:first + per] - flat, first):
+                np.subtract(v, x, out=x)
+                np.reciprocal(x, out=x)
+                if k == pad - 1:
+                    x[int(np.argmin(outer))] = 0.0
+        width = b - a + 1
+        diag = self.diagonal[a:b + 1] - flat[:, None]
+        diag[:, 0] -= x[0]
+        diag[:, -1] -= x[1]
+        out = np.empty((flat.size, width, len(cols)), dtype=complex)
+        per = max(1, _BAND_CHUNK // (3 * width))
+        for first in range(0, flat.size, per):
+            m = min(per, flat.size - first)
+            # unit hopping inside each block, none between consecutive blocks
+            ab = np.ones((3, m, width), dtype=complex)
+            ab[0, :, 0] = ab[2, :, -1] = 0.0
+            ab[1] = diag[first:first + m]
+            rhs = np.zeros((m, width, len(cols)), dtype=complex)
+            rhs[:, cols, range(len(cols))] = 1.0
+            # both arrays are built per call, so the solver may work in place
+            out[first:first + m] = scipy.linalg.solve_banded(
+                (1, 1), ab.reshape(3, -1), rhs.reshape(m * width, -1),
+                overwrite_ab=True, overwrite_b=True,
+                check_finite=False).reshape(m, width, -1)
+        return out.reshape(zs.shape + out.shape[1:])
 
 
 def finite_operator(source, N: int) -> FiniteOperator:

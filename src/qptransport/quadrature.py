@@ -3,11 +3,12 @@
 Each panel is evaluated at the 21 Kronrod nodes; the 21-point Kronrod value
 is the panel's estimate and its distance to the embedded 10-point Gauss
 value serves as the local error gauge (Piessens et al., QUADPACK, Springer
-1983).  Panels whose gauge exceeds their share of the tolerance are halved.
+1983).  Panels whose gauge exceeds their share of the tolerance are halved,
+one level at a time.
 Semi infinite tails are mapped to (0, 1] by u = scale / (E - anchor), which
 keeps integrands with 1/E^2 decay bounded on the transformed interval.
-Integrands must accept and return numpy arrays (they are evaluated on whole
-node batches at once).
+Integrands must accept and return numpy arrays: each is called once per
+level, on the nodes of all of that level's panels.
 """
 
 from __future__ import annotations
@@ -59,14 +60,24 @@ class QuadratureResult:
     deepest: int
 
 
-def _panel(func, lo: float, hi: float):
-    """Kronrod value of [lo, hi] and its gauge |Kronrod - Gauss|; func may
-    return one value per node (scalar integrand) or a (nodes, m) array (m
-    integrands sharing nodes)."""
+#: most halvings of a starting panel; a panel still over its budget there
+#: raises NumericalError
+MAX_DEPTH = 22
+
+
+def _panels(func, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod values of the panels [lo_k, hi_k] and their gauges
+    |Kronrod - Gauss|, from one call of func on the nodes of all of them;
+    func may return one value per node (scalar integrand) or a (nodes, m)
+    array (m integrands sharing nodes)."""
     half = 0.5 * (hi - lo)
-    vals = np.asarray(func(0.5 * (lo + hi) + half * _NODES), dtype=float)
-    kronrod, gauss = half * (_RULES @ vals)
-    return kronrod, _mag(kronrod - gauss)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    vals = np.asarray(func(nodes.ravel()), dtype=float)
+    sums = (_RULES @ vals.reshape(lo.size, _NODES.size, -1)) \
+        * half[:, None, None]
+    kronrod, gauss = sums[:, 0], sums[:, 1]
+    gauges = np.max(np.abs(kronrod - gauss), axis=1)
+    return (kronrod if vals.ndim == 2 else kronrod[:, 0]), gauges
 
 
 def _mag(x) -> float:
@@ -74,13 +85,15 @@ def _mag(x) -> float:
 
 
 def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
-                       abs_tol: float = 0.0, initial_panels: int = 4,
-                       max_depth: int = 22) -> QuadratureResult:
+                       abs_tol: float = 0.0,
+                       initial_panels: int = 4) -> QuadratureResult:
     """Integrate func over [a, b] to a target relative tolerance.
 
-    A panel's Kronrod value is accepted once its gauge is within the
-    panel's share of the tolerance; other panels are halved, down to
-    max_depth halvings; a panel still unconverged there raises
+    The panels are refined level by level: func is called once per level,
+    on the nodes of all of its panels.  Left to right, a panel's Kronrod
+    value is accepted once its gauge is within the panel's share of the
+    tolerance; the other panels are halved into the next level, down to
+    MAX_DEPTH halvings; a panel still unconverged there raises
     NumericalError.
 
     func may return one value per node, or a (nodes, m) array to integrate
@@ -93,37 +106,43 @@ def adaptive_integrate(func, a: float, b: float, rel_tol: float = 1e-6,
         raise InputError(f"initial_panels must be >= 1, got {initial_panels}")
 
     edges = np.linspace(a, b, initial_panels + 1)
-    queue = [(float(lo), float(hi), 0, *_panel(func, lo, hi))
-             for lo, hi in zip(edges[:-1], edges[1:])]
-    evaluations = initial_panels * _NODES.size
+    lo, hi = edges[:-1], edges[1:]
+    values, gauges = _panels(func, lo, hi)
+    evaluations = lo.size * _NODES.size
 
-    total = 0.0 * queue[0][3]
+    total = 0.0 * values[0]
     err = 0.0
-    deepest = 0
+    depth = 0
     # crude overall scale for the relative test, updated as panels settle
-    scale_guess = sum(_mag(v) for (_, _, _, v, _) in queue) + abs_tol
-    while queue:
-        lo, hi, depth, value, gauge = queue.pop()
-        budget = (abs_tol + rel_tol * max(scale_guess, _mag(total))) \
-            * (hi - lo) / (b - a)
-        if gauge <= budget:
-            total += value
-            err += gauge
-            deepest = max(deepest, depth)
-        elif depth >= max_depth:
-            raise NumericalError(
-                f"quadrature panel [{lo}, {hi}] failed to converge "
-                f"at depth {depth} (error estimate {gauge:.3e}, "
-                f"budget {budget:.3e})")
-        else:
-            mid = 0.5 * (lo + hi)
-            queue.append((lo, mid, depth + 1, *_panel(func, lo, mid)))
-            queue.append((mid, hi, depth + 1, *_panel(func, mid, hi)))
-            evaluations += 2 * _NODES.size
+    scale_guess = sum(_mag(v) for v in values) + abs_tol
+    while True:
+        split = np.zeros(lo.size, dtype=bool)
+        for k in range(lo.size):
+            budget = (abs_tol + rel_tol * max(scale_guess, _mag(total))) \
+                * (hi[k] - lo[k]) / (b - a)
+            if gauges[k] <= budget:
+                total += values[k]
+                err += gauges[k]
+            elif depth >= MAX_DEPTH:
+                raise NumericalError(
+                    f"quadrature panel [{lo[k]}, {hi[k]}] failed to converge "
+                    f"at depth {depth} (error estimate {gauges[k]:.3e}, "
+                    f"budget {budget:.3e})")
+            else:
+                split[k] = True
+        if not split.any():
+            break
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.ravel([lo, mid], "F"), np.ravel([mid, hi], "F")
+        depth += 1
+        values, gauges = _panels(func, lo, hi)
+        evaluations += lo.size * _NODES.size
 
     value = float(total) if np.ndim(total) == 0 else total
-    return QuadratureResult(value=value, error=err, evaluations=evaluations,
-                            deepest=deepest)
+    # the last level accepted all its panels, so it is the deepest
+    return QuadratureResult(value=value, error=float(err),
+                            evaluations=evaluations, deepest=depth)
 
 
 def integrate_right_tail(func, e0: float, scale: float = 1.0,

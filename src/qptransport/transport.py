@@ -19,8 +19,10 @@ whose sum over n is exactly 2.  Routes:
     eigenvectors would not fit in physical memory is refused before
     anything is built;
   * resolvent route: Plancherel form (1/(pi T)) integral |G(E + i/T)|^2 dE
-    with banded solves and adaptive energy panels, exterior tails mapped to
-    a bounded interval;
+    over adaptive energy panels, exterior tails mapped to a bounded
+    interval; each refinement level is one resolvent call on the window of
+    the requested sites, the lattice outside it folded into two boundary
+    continued fractions, and one banded solve per batch of energies;
   * Floquet route (periodic operators): the resolvent entries are assembled
     from the fiber eigensystems on a quasimomentum grid, one set of
     eigensystems per grid for a whole window of displacements; for large T
@@ -413,32 +415,32 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
                            config: EvolutionConfig = DEFAULT_CONFIG,
                            radius: int | None = None) -> np.ndarray:
     """P(n; T) for several displacements through the Plancherel resolvent
-    form, sharing every banded solve across the displacements.
+    form, sharing every resolvent evaluation across the displacements.
 
     Each value is (1/(pi T)) times the integral over E of
     |G(n,0; E+i/T)|^2 + |G(n+1,1; E+i/T)|^2; the two exterior tails are
     integrated through the 1/(E - anchor) substitution rather than merely
-    bounded.
+    bounded.  Each quadrature level is one windowed resolvent call over all
+    of its energies: the window [min(n, 0), max(n + 1, 1)] holds every
+    entry read, and the lattice outside it enters through its boundary
+    continued fractions.
     """
     time_scale = _check_time_scale(time_scale)
-    disp = [int(n) for n in np.atleast_1d(displacements)]
-    if not disp:
+    disp = np.array([int(n) for n in np.atleast_1d(displacements)],
+                    dtype=np.int64)
+    if not disp.size:
         raise InputError("need at least one displacement")
-    n_extent = max(max(abs(n), abs(n + 1)) for n in disp)
+    lo, hi = min(int(disp.min()), 0), max(int(disp.max()) + 1, 1)
     if radius is None:
-        radius = _resolvent_radius(time_scale, n_extent)
+        radius = _resolvent_radius(time_scale, max(-lo, hi))
     op = _as_finite(source, radius)
     eta = 1.0 / time_scale
-    rows0 = np.array([op.site_index(n) for n in disp])
-    rows1 = np.array([op.site_index(n + 1) for n in disp])
+    rows0, rows1 = disp - lo, disp + 1 - lo
 
     def integrand(energies):
-        energies = np.atleast_1d(np.asarray(energies, dtype=float))
-        out = np.empty((energies.size, len(disp)))
-        for k, e in enumerate(energies):
-            sol = op.resolvent(e + 1j * eta, sources=(0, 1))
-            out[k] = np.abs(sol[rows0, 0]) ** 2 + np.abs(sol[rows1, 1]) ** 2
-        return out
+        sol = op.resolvent(np.asarray(energies, dtype=float) + 1j * eta,
+                           sources=(0, 1), window=(lo, hi))
+        return np.abs(sol[:, rows0, 0]) ** 2 + np.abs(sol[:, rows1, 1]) ** 2
 
     return _abel_energy_integral(integrand, op.norm_bound + 1.0, time_scale,
                                  config)

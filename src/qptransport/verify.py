@@ -44,8 +44,10 @@ from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
 # kept in this namespace: perfbench's tracer wraps it under this module
 from .transport import probability_distribution  # noqa: F401
 
-#: the random ensemble's potentials are uniform in [-V_SCALE, V_SCALE]
+#: the random ensemble's potentials are uniform in [-V_SCALE, V_SCALE] and
+#: its periods uniform in [ENSEMBLE_Q_MIN, q_max]
 V_SCALE = 2.0
+ENSEMBLE_Q_MIN = 2
 #: Floquet suite tolerances: the determinant identity (times
 #: max(1, |Delta|)), the derivative and phi-derivative identities against
 #: central differences, and the weight sum and orthonormality
@@ -100,17 +102,18 @@ def _make_report(check_id: str, rows, snapshot: dict) -> VerificationReport:
                               artifacts=rows, config_snapshot=snapshot)
 
 
-def random_periodic_ensemble(count: int = 20, q_max: int = 8, seed: int = 0,
-                             q_min: int = 2) -> tuple:
-    """Random-potential PeriodicModels with q uniform in [q_min, q_max]."""
-    if not 2 <= q_min <= q_max:
-        raise InputError(f"need 2 <= q_min <= q_max, got {q_min}..{q_max}")
+def random_periodic_ensemble(count: int = 20, q_max: int = 8,
+                             seed: int = 0) -> tuple:
+    """Random-potential PeriodicModels with q uniform in
+    [ENSEMBLE_Q_MIN, q_max]."""
+    if q_max < ENSEMBLE_Q_MIN:
+        raise InputError(f"need q_max >= {ENSEMBLE_Q_MIN}, got {q_max}")
     if count < 1:
         raise InputError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     models = []
     for _ in range(count):
-        q = int(rng.integers(q_min, q_max + 1))
+        q = int(rng.integers(ENSEMBLE_Q_MIN, q_max + 1))
         v = rng.uniform(-V_SCALE, V_SCALE, q)
         models.append(PeriodicModel.from_potential(v))
     return tuple(models)
@@ -294,7 +297,7 @@ def _chebyshev(case):
     for j in range(1, q + 1):
         if not bs.band(j).intersects(*interval):
             continue
-        occ = phi_occupation_measure(model, j, eta / q, kappa_grid=256)
+        occ = phi_occupation_measure(model, j, eta / q)
         if occ > occ_best:
             occ_best, j_best = occ, j
     yield {"eta": eta, "band": j_best, "occupation": occ_best,

@@ -85,7 +85,7 @@ def test_criterion_04_three_route_probability_agreement():
     _report(4, f"time vs resolvent vs fiber-kernel probabilities on "
                f"{rep.instances} (q, T, n) points, {rep.violations} "
                f"disagreements beyond 1e-3",
-            rep.instances >= 600 and rep.violations == 0, elapsed, 60.0)
+            rep.instances >= 600 and rep.violations == 0, elapsed, 40.0)
 
 
 def test_criterion_05_conservation_and_normalization():

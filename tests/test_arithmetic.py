@@ -110,7 +110,7 @@ def test_liouville_depth3_hits_target():
 
 def test_liouville_depth_limit():
     with pytest.raises(DepthLimitError) as exc:
-        construct_liouville_frequency(2.0, q1=2, depth=10, max_exponent=3.0e4)
+        construct_liouville_frequency(2.0, q1=2, depth=10)
     # ladder reaches q = (2, 55, ~e^110); the next exponent ~1.2e48 blows up
     assert exc.value.achieved_depth == 3
 
@@ -142,7 +142,7 @@ def test_liouville_round_trip(beta, q1, depth):
 
 
 def test_beta_estimate_monotone_in_depth():
-    freq = construct_liouville_frequency(1.0, q1=2, depth=4, max_exponent=3.0e4)
+    freq = construct_liouville_frequency(1.0, q1=2, depth=4)
     vals = [beta_estimate(freq, depth=d) for d in range(2, freq.depth + 1)]
     assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
 

@@ -216,6 +216,28 @@ class TestExitCodes:
         assert f"{name} = " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["lyapunov", "--e-min", "0", "--e-max", "1", "--n-steps", "0"],
+         "n_steps"),
+        (["lyapunov", "--e-min", "0", "--e-max", "1", "--theta-count", "0"],
+         "theta_count"),
+        (["measure", "--e-min", "-1", "--e-max", "1", "--theta-grid", "0"],
+         "theta_grid"),
+        (["theorem-demo", "--theta-grid", "-1"], "theta_grid"),
+        (["verify", "floquet", "--trials", "0"], "trials"),
+        (["bands", "--kappa-grid", "1"], "kappa_grid"),
+        (["verify", "floquet", "--q-max", "1"], "q_max"),
+    ], ids=["n-steps", "theta-count", "measure-theta-grid",
+            "demo-theta-grid", "trials", "kappa-grid", "q-max"])
+    def test_below_the_library_limit_is_usage_error(self, tmp_path, capsys,
+                                                    argv, name):
+        # the cast carries the library's own lower limit, so the value is
+        # refused before the output directory exists
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{name} = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_leaves_no_default_directory(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.chdir(tmp_path)

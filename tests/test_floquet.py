@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qptransport import floquet
 from qptransport.errors import DegeneratePointError, InputError
 from qptransport.floquet import (
     Band,
@@ -335,10 +336,11 @@ def test_measure_uniform_lower_bound_amo():
     assert res.theta_count == 8
 
 
-def test_phi_occupation_measure_free():
+def test_phi_occupation_measure_free(monkeypatch):
     # free q=2: phi_j = 1 everywhere, so the > 0.5 set is everything
+    monkeypatch.setattr(floquet, "OCCUPATION_KAPPA_GRID", 64)
     m = free_model(2)
-    meas = phi_occupation_measure(m, 1, 0.5, kappa_grid=64)
+    meas = phi_occupation_measure(m, 1, 0.5)
     assert meas == pytest.approx(math.pi / 2, rel=0.05)
 
 

@@ -48,6 +48,39 @@ def halving_oracle(func, a, b, rel_tol, initial_panels=4, max_depth=22):
     return total
 
 
+def depth_first_oracle(func, a, b, rel_tol, initial_panels=4):
+    """Oracle for adaptive_integrate's level-by-level refinement: the same
+    Gauss-Kronrod panels and acceptance rule, refined depth first, one
+    panel per integrand call (the rule's earlier form).  The panels join
+    the total in another order, so the two may accept different panels
+    near their budgets; both then meet the tolerance."""
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(func(0.5 * (lo + hi) + half * quadrature._NODES),
+                          dtype=float)
+        kronrod, gauss = half * (quadrature._RULES @ vals)
+        return kronrod, np.max(np.abs(kronrod - gauss))
+
+    edges = np.linspace(a, b, initial_panels + 1)
+    queue = [(lo, hi, 0, *panel(lo, hi)) for lo, hi in zip(edges[:-1],
+                                                          edges[1:])]
+    total = 0.0 * queue[0][3]
+    scale = sum(np.max(np.abs(v)) for *_, v, _ in queue)
+    while queue:
+        lo, hi, depth, value, gauge = queue.pop()
+        budget = rel_tol * max(scale, np.max(np.abs(total))) \
+            * (hi - lo) / (b - a)
+        if gauge <= budget:
+            total = total + value
+        elif depth >= quadrature.MAX_DEPTH:
+            raise NumericalError(f"oracle panel [{lo}, {hi}] unconverged")
+        else:
+            mid = 0.5 * (lo + hi)
+            queue += [(lo, mid, depth + 1, *panel(lo, mid)),
+                      (mid, hi, depth + 1, *panel(mid, hi))]
+    return total
+
+
 def lorentzian(width, center):
     """A unit-height-times-width peak and its integral over [-1, 1]."""
     def f(x):
@@ -83,6 +116,8 @@ def test_lorentzian_peak_matches_oracle_and_closed_form(width, center,
     assert type(got) is float
     assert abs(got - exact) <= rel_tol * exact
     assert abs(got - want) <= rel_tol * exact
+    assert abs(got - depth_first_oracle(f, -1.0, 1.0, rel_tol)) \
+        <= rel_tol * exact
 
 
 @given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16),
@@ -102,6 +137,8 @@ def test_polynomial_matches_oracle_and_closed_form(coeffs, a, length,
     want = halving_oracle(poly, a, b, rel_tol / ORACLE_MARGIN)
     assert abs(got - exact) <= max(rel_tol, 1e-13) * size
     assert abs(got - want) <= max(rel_tol, 1e-13) * size
+    assert abs(got - depth_first_oracle(poly, a, b, rel_tol)) \
+        <= max(rel_tol, 1e-13) * size
 
 
 @given(widths=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
@@ -123,6 +160,24 @@ def test_vector_integrand_matches_oracle_and_closed_form(widths, center,
     assert got.shape == exact.shape
     assert np.all(np.abs(got - exact) <= rel_tol * exact.max())
     assert np.all(np.abs(got - want) <= rel_tol * exact.max())
+    assert np.all(np.abs(got - depth_first_oracle(f, -1.0, 1.0, rel_tol))
+                  <= rel_tol * exact.max())
+
+
+def test_integrand_is_called_once_per_level():
+    # a narrow peak forces many levels; each is one call on the nodes of
+    # all its panels, and the calls account for every evaluation
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 1e-4 / (x * x + 1e-8)
+
+    r = adaptive_integrate(f, -1.0, 1.0, rel_tol=1e-8)
+    assert r.deepest >= 8
+    assert len(sizes) == r.deepest + 1
+    assert sum(sizes) == r.evaluations
+    assert sizes[0] == 4 * quadrature._NODES.size
 
 
 class TestAdaptive:
@@ -145,10 +200,11 @@ class TestAdaptive:
         r = adaptive_integrate(np.cos, 0.0, 1.0, rel_tol=1e-7)
         assert abs(r.value - math.sin(1.0)) <= max(r.error, 1e-12)
 
-    def test_strict_raises_on_hard_singularity(self):
+    def test_strict_raises_on_hard_singularity(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 10)
         with pytest.raises(NumericalError):
             adaptive_integrate(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300),
-                               0.0, 1.0, rel_tol=1e-10, max_depth=10)
+                               0.0, 1.0, rel_tol=1e-10)
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
@@ -215,13 +271,13 @@ class TestTails:
         assert r.value == pytest.approx(exact, rel=1e-8)
         assert r.deepest > 0
 
-    def test_non_convergent_tail_raises(self):
+    def test_non_convergent_tail_raises(self, monkeypatch):
         # an integrable 1/sqrt singularity past e0 never meets 1e-10
         # within ten halvings
+        monkeypatch.setattr(quadrature, "MAX_DEPTH", 10)
         with pytest.raises(NumericalError, match="failed to converge"):
             integrate_right_tail(lambda e: 1.0 / np.sqrt(np.abs(e - 3.0)),
-                                 1.0, rel_tol=1e-10, initial_panels=1,
-                                 max_depth=10)
+                                 1.0, rel_tol=1e-10, initial_panels=1)
 
     def test_bad_scale(self):
         with pytest.raises(InputError):

@@ -3,6 +3,7 @@
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -18,8 +19,9 @@ from qptransport.errors import (InputError, MemoryLimitError, NumericalError,
                                 TruncationError)
 from qptransport.floquet import floquet_eigensystem
 from qptransport.operator import (AmoSampling, Chain, FiniteOperator,
-                                  PeriodicModel, ZeroSampling,
+                                  PeriodicModel, TableSampling, ZeroSampling,
                                   finite_operator, periodic_model)
+from qptransport import operator
 from qptransport import transport as tr
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -371,6 +373,86 @@ def test_resolvent_matches_dense_solve(n):
                                eye[:, [op.site_index(s) for s in sources]])
         np.testing.assert_allclose(op.resolvent(z, sources), want,
                                    rtol=0, atol=1e-12)
+
+
+def assert_entries_close(got, want, op, z):
+    """1e-12 relative per entry of G(., s; z), shape (z, sites, sources),
+    above two floors.  Backward-stable solves of H - z agree only to about
+    eps cond(H - z) of a column's largest entry, and cond(H - z) <=
+    (|H| + |z|) / dist(z, spectrum) reaches 5e4 for z near an eigenvalue
+    at T = 1e4: there, two LAPACK solves of one system differ by more than
+    1e-12 on entries 2,500 times below their column's largest.  Entries
+    below 1e-290 round in the subnormal range, with fewer digits."""
+    assert got.shape == want.shape
+    z = np.asarray(z).reshape(-1, 1, 1)
+    dist = np.maximum(np.abs(z.imag), np.abs(z.real) - op.norm_bound)
+    cond = (op.norm_bound + np.abs(z)) / dist
+    floor = 4.0 * np.finfo(float).eps * cond \
+        * np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + floor + 1e-300)
+
+
+@st.composite
+def windowed_batches(draw):
+    """An AMO or random table chain on [-n, n], a window [lo, hi] (edges
+    included), sources in it, z = E + i/T for T in [1, 1e4] with E inside
+    the spectrum, outside it, and at tail-node magnitudes up to 1e8, and a
+    band chunk of a few windows, so batches cross it."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        f = AmoSampling(draw(st.floats(0.0, 3.0)))
+    else:
+        f = TableSampling(draw(st.lists(st.floats(-3.0, 3.0), min_size=2,
+                                        max_size=8)))
+    op = finite_operator(Chain(f, GOLDEN, draw(st.floats(0.0, 1.0))), n)
+    lo = draw(st.sampled_from([-n, n, draw(st.integers(-n, n))]))
+    hi = draw(st.sampled_from([lo, n, draw(st.integers(lo, n))]))
+    sources = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+    b = op.norm_bound
+    energy = st.one_of(st.floats(-b, b), st.floats(b, 50.0),
+                       st.floats(-50.0, -b), st.floats(1e3, 1e8),
+                       st.floats(-1e8, -1e3))
+    energies = draw(st.lists(energy, min_size=1, max_size=12))
+    z = np.array(energies) + 1j / draw(st.floats(1.0, 1e4))
+    chunk = 3 * (hi - lo + 1) * draw(st.integers(1, 4))
+    return op, (lo, hi), sources, z, chunk
+
+
+@given(windowed_batches())
+@settings(max_examples=200, deadline=None)
+def test_windowed_resolvent_matches_whole_lattice_and_dense_solves(batch):
+    op, (lo, hi), sources, z, chunk = batch
+    with mock.patch.object(operator, "_BAND_CHUNK", chunk):
+        got = op.resolvent(z, sources, window=(lo, hi))
+    rows = slice(op.site_index(lo), op.site_index(hi) + 1)
+    assert_entries_close(got, op.resolvent(z, sources)[:, rows], op, z)
+    eye = np.eye(op.dimension)
+    cols = eye[:, [op.site_index(s) for s in sources]]
+    dense = np.array([np.linalg.solve(dense_matrix(op) - zk * eye, cols)
+                      for zk in z])
+    assert_entries_close(got, dense[:, rows], op, z)
+
+
+def test_windowed_batch_crosses_the_band_chunk():
+    # 30,000 energies of a 3-site window take two banded solves of at most
+    # 2^18 band entries; the whole-lattice batch takes fifteen
+    op = finite_operator(Chain(AmoSampling(1.2), GOLDEN, 0.3), 20)
+    z = np.linspace(-6.0, 6.0, 30_000) + 0.05j
+    assert z.size > operator._BAND_CHUNK // 9
+    got = op.resolvent(z, (0, 1), window=(-1, 1))
+    assert_entries_close(got, op.resolvent(z, (0, 1))[:, 19:22], op, z)
+    assert_entries_close(got[123:124], op.resolvent(
+        z[123:124], (0, 1), window=(-1, 1)), op, z[123:124])
+
+
+def test_resolvent_window_input_errors():
+    op = FiniteOperator(np.zeros(9), 4)
+    with pytest.raises(InputError, match="Im z"):
+        op.resolvent(np.array([0.5, 1.0 + 0.1j]), window=(-1, 1))
+    with pytest.raises(InputError, match="outside the window"):
+        op.resolvent(0.5j, sources=(2,), window=(-1, 1))
+    with pytest.raises(InputError):
+        op.resolvent(0.5j, window=(1, -1))
 
 
 @pytest.mark.parametrize("n", [0, 3, 7, 8, 30])

@@ -41,8 +41,9 @@ class TestEnsemble:
             assert ma.q == mb.q
             np.testing.assert_array_equal(ma.potential, mb.potential)
 
-    def test_q_range(self):
-        models = vf.random_periodic_ensemble(30, 4, seed=0, q_min=3)
+    def test_q_range(self, monkeypatch):
+        monkeypatch.setattr(vf, "ENSEMBLE_Q_MIN", 3)
+        models = vf.random_periodic_ensemble(30, 4, seed=0)
         assert all(3 <= m.q <= 4 for m in models)
 
     def test_bad_args(self):
