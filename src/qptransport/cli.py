@@ -312,14 +312,10 @@ def _lyapunov_rows(cfg: dict) -> list:
             raise UsageError("lyapunov needs --energies or --e-min/--e-max")
         energies = [float(e) for e in
                     np.linspace(cfg["e_min"], cfg["e_max"], cfg["e_count"])]
-    rows = []
-    for e in energies:
-        est = lyapunov_exponent(f, alpha, e, n_steps=cfg["n_steps"],
-                                theta_count=cfg["theta_count"],
-                                theta_mode=cfg["theta_mode"],
-                                seed=cfg["seed"])
-        rows.append((e, est.gamma_hat, est.stderr))
-    return rows
+    est = lyapunov_exponent(f, alpha, energies, n_steps=cfg["n_steps"],
+                            theta_count=cfg["theta_count"],
+                            theta_mode=cfg["theta_mode"], seed=cfg["seed"])
+    return list(zip(energies, est.gamma_hat.tolist(), est.stderr.tolist()))
 
 
 def _run_lyapunov(cfg: dict, out: Path):
@@ -779,7 +775,9 @@ def _load_ini(path: str | None) -> configparser.ConfigParser | None:
     return ini
 
 
-def _load_manifest(path: str) -> dict:
+def _load_manifest(path: str) -> argparse.Namespace:
+    """The manifest's command and config as parsed flags, whose values
+    take the checks a flag's text gets."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -797,7 +795,22 @@ def _load_manifest(path: str) -> dict:
         raise UsageError(f"manifest {path!r}: config lacks keys "
                          f"{sorted(want - got)}, has unknown keys "
                          f"{sorted(got - want)}")
-    return manifest
+    return argparse.Namespace(command=manifest["command"], **{
+        k: _config_text(v) for k, v in manifest["config"].items()})
+
+
+def _config_text(value):
+    """The text whose Param cast gives back a manifest config value."""
+    if isinstance(value, dict):  # a parsed frequency spec
+        v = value.get
+        if v("kind") == "rational":
+            return f"{v('num')}/{v('den')}"
+        if v("kind") == "liouville":
+            return f"liouville:beta={v('beta')},q1={v('q1')},depth={v('depth')}"
+        return str(v("value"))
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return None if value is None else str(value)
 
 
 def _ini_text(ini, section: str, name: str):
@@ -898,8 +911,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.from_manifest:
-            manifest = _load_manifest(args.from_manifest)
-            return execute(manifest["command"], manifest["config"],
+            replay = _load_manifest(args.from_manifest)
+            return execute(replay.command, assemble_config(replay, None),
                            out_dir=args.out)
         if not args.command:
             parser.print_usage(sys.stderr)

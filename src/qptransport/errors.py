@@ -5,6 +5,9 @@ that the CLI can map them onto exit codes (usage problems exit 2, numerical
 problems exit 1) and tests can assert on the precise failure.
 """
 
+import os
+from decimal import Decimal
+
 
 class QptError(Exception):
     """Base class for all package errors."""
@@ -59,3 +62,13 @@ class TruncationError(NumericalError):
 
 class MemoryLimitError(QptError):
     """A computation would need more memory than the machine has."""
+
+
+def check_memory(need: int, what: str) -> None:
+    """MemoryLimitError unless need bytes fit in physical memory."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        # a Decimal quotient, since need may pass the float range
+        raise MemoryLimitError(
+            f"{what} needs about {Decimal(need) / 2 ** 30:.3g} GiB, more "
+            f"than the {limit / 2 ** 30:.3g} GiB of physical memory")

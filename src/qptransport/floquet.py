@@ -322,12 +322,20 @@ def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
 def spectral_measure_interval(model: PeriodicModel, kappa,
                               interval: tuple[float, float]):
     """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed
-    interval; a list of masses when kappa is an array."""
+    interval; a list of masses when kappa is an array.  Each lambda_j(kappa)
+    stays between its kappa = 0 and pi/q values, so when no band (widened
+    by 1e-9 max(1, norm_bound)) meets [a, b], no fiber is solved: all 0.0."""
     a, b = interval
     if b < a:
         raise InputError(f"empty interval [{a}, {b}]")
     if model.q < 2:
         raise InputError("the two-site spectral measure needs q >= 2")
+    edges = np.linalg.eigvalsh([floquet_matrix(model, k)
+                                for k in (0.0, math.pi / model.q)])
+    tol = 1e-9 * max(1.0, model.norm_bound)
+    if not np.any((edges.min(axis=0) - tol <= b)
+                  & (a <= edges.max(axis=0) + tol)):
+        return [0.0] * np.size(kappa) if np.ndim(kappa) else 0.0
     lams, phi = fiber_eigensystems(model, kappa)
     masses = [float(np.sum(p[(w >= a) & (w <= b)])) for w, p in zip(lams, phi)]
     return masses if np.ndim(kappa) else masses[0]

@@ -17,15 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_memory
 from .operator import Chain, PeriodicModel, SamplingFunction, sample_potential
 
 RENORM_CADENCE = 32
 _OVERFLOW_GUARD = 1e250
 # log of the state size the cocycle renormalizes before: squares stay finite
 _RENORM_BUDGET = 0.5 * math.log(_OVERFLOW_GUARD)
-# Lyapunov steps per block of E - V(n) values; a multiple of the cadence
-_STEP_BLOCK = 64 * RENORM_CADENCE
+# E - V(n) entries per Lyapunov block of (steps, phases, energies)
+_BLOCK_ENTRIES = 1 << 17
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -182,9 +182,9 @@ def transfer_product(source, energy: float, n_lo: int, n_hi: int,
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    energy: float
-    gamma_hat: float
-    stderr: float
+    energy: float | np.ndarray
+    gamma_hat: float | np.ndarray
+    stderr: float | np.ndarray
     n_steps: int
     theta_count: int
     per_theta: np.ndarray = field(repr=False)
@@ -200,35 +200,51 @@ def _theta_grid(theta_count: int, mode: str, seed) -> np.ndarray:
     raise InputError(f"unknown theta mode {mode!r} (use 'golden' or 'random')")
 
 
-def lyapunov_exponent(f: SamplingFunction, alpha, energy: float,
+def lyapunov_exponent(f: SamplingFunction, alpha, energy,
                       n_steps: int = 10_000, theta_count: int = 100,
                       theta_mode: str = "golden", seed=None) -> LyapunovEstimate:
     """Phase-averaged Lyapunov estimate (1/n) log ||Phi_[0,n-1](E) e1||.
 
     The solution from e1 = (psi(0), psi(-1)) = (1, 0) grows like ||Phi||
     in the limit, not at finite n.  The cocycle runs over a theta grid
-    (golden rotation by default, seeded i.i.d. draws as fallback).
+    (golden rotation by default, seeded i.i.d. draws as fallback).  An
+    energy array gives array fields (per_theta (energies, phases)) from one
+    cocycle over the shared grid; each energy's values equal its own call's
+    unless some |E - V| makes the cocycle renormalize between cadences.
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
+    # the smallest block: RENORM_CADENCE steps of E - V and 3 temporaries
+    # of that size, plus 8 arrays the size of the state
+    check_memory(8 * theta_count * (4 * RENORM_CADENCE + 8),
+                 f"a Lyapunov block over {theta_count} phases")
     thetas = _theta_grid(theta_count, theta_mode, seed)
-    alpha_f = float(alpha)
-    energy = float(energy)
-
-    x, y, log_scale = np.ones((theta_count, 1)), np.zeros((theta_count, 1)), 0.0
-    # a = E - V(n) over (steps, phases), a block of steps at a time
-    for start in range(0, n_steps, _STEP_BLOCK):
-        n = np.arange(start, min(start + _STEP_BLOCK, n_steps))[:, None]
-        a = energy - np.asarray(f((thetas + n * alpha_f) % 1.0), dtype=float)
-        x, y, log_scale = cocycle(a[..., None], x, y, log_scale=log_scale)
-    norm_sq = x[:, 0] ** 2 + y[:, 0] ** 2
-    per_theta = (log_scale + 0.5 * np.log(np.maximum(norm_sq, 1e-300))) / n_steps
-    gamma_hat = float(np.mean(per_theta))
-    stderr = float(np.std(per_theta, ddof=1) / math.sqrt(theta_count)) \
-        if theta_count > 1 else 0.0
-    return LyapunovEstimate(energy=energy, gamma_hat=gamma_hat, stderr=stderr,
-                            n_steps=n_steps, theta_count=theta_count,
-                            per_theta=per_theta)
+    energies = np.asarray(energy, dtype=float)
+    per_theta = np.empty((energies.size, theta_count))
+    chunk = max(1, _BLOCK_ENTRIES // (RENORM_CADENCE * theta_count))
+    for lo in range(0, energies.size, chunk):
+        e = energies.reshape(-1)[lo:lo + chunk]
+        steps = RENORM_CADENCE * max(1, chunk // e.size)
+        x, y, log_scale = 1.0, 0.0, 0.0  # e1, broadcast by cocycle
+        # a = E - V(n) over (steps, phases, energies), a block at a time
+        for start in range(0, n_steps, steps):
+            n = np.arange(start, min(start + steps, n_steps))[:, None]
+            v = np.asarray(f((thetas + n * float(alpha)) % 1.0), dtype=float)
+            x, y, log_scale = cocycle((e - v[..., None])[..., None], x, y,
+                                      log_scale=log_scale)
+        norm_sq = np.maximum(x[..., 0] ** 2 + y[..., 0] ** 2, 1e-300)
+        per_theta[lo:lo + chunk] = ((log_scale + 0.5 * np.log(norm_sq))
+                                    / n_steps).T
+    # each energy's row is contiguous, as a lone energy's per_theta is
+    gamma_hat = np.array([np.mean(row) for row in per_theta])
+    stderr = np.array([np.std(row, ddof=1) / math.sqrt(theta_count)
+                       if theta_count > 1 else 0.0 for row in per_theta])
+    if energies.ndim == 0:
+        energies, gamma_hat, stderr, per_theta = (
+            float(energies), float(gamma_hat[0]), float(stderr[0]), per_theta[0])
+    return LyapunovEstimate(energy=energies, gamma_hat=gamma_hat,
+                            stderr=stderr, n_steps=n_steps,
+                            theta_count=theta_count, per_theta=per_theta)
 
 
 @dataclass(frozen=True)
@@ -245,10 +261,10 @@ def min_lyapunov_on_spectrum(f: SamplingFunction, alpha, energies,
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if energies.size == 0:
         raise InputError("need at least one energy")
-    gammas = [lyapunov_exponent(f, alpha, e, n_steps, theta_count).gamma_hat
-              for e in energies]
+    gammas = lyapunov_exponent(f, alpha, energies, n_steps,
+                               theta_count).gamma_hat
     k = int(np.argmin(gammas))
-    return MinLyapunovResult(energy=float(energies[k]), gamma=gammas[k])
+    return MinLyapunovResult(energy=float(energies[k]), gamma=float(gammas[k]))
 
 
 def gordon_block_statistic(a_matrix, u=None) -> float:

@@ -33,15 +33,13 @@ whose sum over n is exactly 2.  Routes:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
 from .arithmetic import Frequency
-from .errors import (InputError, MemoryLimitError, NumericalError,
-                     TruncationError)
+from .errors import (InputError, NumericalError, TruncationError,
+                     check_memory)
 from .floquet import floquet_eigensystem
 from .operator import Chain, FiniteOperator, PeriodicModel, finite_operator
 from .quadrature import (adaptive_integrate, integrate_left_tail,
@@ -123,14 +121,8 @@ def _time_operator(source, radius: int | None, time_scale: float,
         radius = truncation_radius(time_scale, n_extent)
     dim = source.dimension if isinstance(source, FiniteOperator) \
         else 2 * radius + 1
-    need = 8 * (2 * dim * dim + _COLUMN_CHUNK)
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > limit:
-        # a Decimal quotient, since need may pass the float range
-        raise MemoryLimitError(
-            f"the time route at dimension {dim} needs about "
-            f"{Decimal(need) / 2 ** 30:.3g} GiB, more than the "
-            f"{limit / 2 ** 30:.3g} GiB of physical memory")
+    check_memory(8 * (2 * dim * dim + _COLUMN_CHUNK),
+                 f"the time route at dimension {dim}")
     return _as_finite(source, radius)
 
 

@@ -795,9 +795,8 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
             raise DepthLimitError(
                 f"bandwidth underflow at depth {m} (q = {qm}): smallest "
                 f"band {float(np.min(widths)):.3g}", achieved_depth=done)
-        gams = [lyapunov_exponent(f, alpha_float, center, n_steps=qm,
-                                  theta_count=theta_count).gamma_hat
-                for center in bs.centers]
+        gams = lyapunov_exponent(f, alpha_float, bs.centers, n_steps=qm,
+                                 theta_count=theta_count).gamma_hat.tolist()
         val, j, gam = min((math.log(w) / qm + g, j, g) for j, (w, g)
                           in enumerate(zip(widths, gams), start=1))
         rows.append({"check": "minimum", "depth": m, "q": qm,

@@ -429,6 +429,58 @@ class TestManifest:
         assert (first / "moments.csv").read_bytes() == \
             (again / "moments.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (["lyapunov", "--energies", "0,1.5,-0.25", "--n-steps", "64",
+          "--theta-count", "4", "--theta-mode", "random", "--seed", "3"],
+         "lyapunov.csv"),
+        (["measure", "--freq", "3/5", "--e-min", "-1", "--e-max", "1",
+          "--theta-grid", "2", "--kappa-grid", "8"], "measure.json"),
+        (["sweep", "--command", "lyapunov",
+          "--freq", "liouville:beta=2,q1=2,depth=3", "--energies", "0,0.5",
+          "--depths", "1,2", "--n-steps", "40", "--theta-count", "4"],
+         "sweep.csv"),
+        (["discriminant", "--sampling", "table", "--potential",
+          "0.5,-1,0.25", "--freq", "2/3", "--e-min", "-3", "--e-max", "3",
+          "--count", "9"], "discriminant.csv"),
+        (["freq", "0.6180339887"], "freq.json"),
+    ], ids=["lyapunov", "measure", "sweep", "discriminant", "freq"])
+    def test_replay_through_the_casts_keeps_config_and_artifacts(
+            self, tmp_path, capsys, argv, artifact):
+        # every config value, lists and frequency specs included, goes
+        # back through its cast and comes out as recorded
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(argv + ["--out", str(first)]) == 0
+        assert main(["--from-manifest", str(first / "manifest.json"),
+                     "--out", str(again)]) == 0
+        assert (first / artifact).read_bytes() == \
+            (again / artifact).read_bytes()
+        recorded = [json.loads((d / "manifest.json").read_text())["config"]
+                    for d in (first, again)]
+        assert recorded[0] == recorded[1]
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"n_steps": 0}, "n_steps"),
+        ({"theta_count": -3}, "theta_count"),
+        ({"theta_mode": "grid"}, "theta_mode"),
+        ({"e_count": 2.5}, "e_count"),
+        ({"freq": {"kind": "rational", "num": 3}}, "freq"),
+    ], ids=["n_steps-0", "theta_count-negative", "theta_mode-unknown",
+            "e_count-float", "freq-without-den"])
+    def test_edited_values_are_usage_errors(self, tmp_path, capsys, edit,
+                                            named):
+        first = tmp_path / "first"
+        assert main(["lyapunov", "--energies", "0,1", "--n-steps", "32",
+                     "--theta-count", "2", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"].update(edit)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["--from-manifest", str(broken),
+                     "--out", str(tmp_path / "again")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
     def test_manifest_contents(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["moments", "--freq", "2/5", "--time-scale", "5",

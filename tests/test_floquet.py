@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qptransport import floquet
 from qptransport.errors import DegeneratePointError, InputError
@@ -322,6 +322,76 @@ def test_measure_counts_boundary_atoms():
     m = free_model(2)
     assert spectral_measure_interval(m, math.pi / 2, (-1e-12, 1e-12)) == \
         pytest.approx(2.0)
+
+
+def always_solve_measure(model, kappa, interval):
+    """spectral_measure_interval without the band-edge skip."""
+    a, b = interval
+    lams, phi = fiber_eigensystems(model, kappa)
+    masses = [float(np.sum(p[(w >= a) & (w <= b)])) for w, p in zip(lams, phi)]
+    return masses if np.ndim(kappa) else masses[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 13), st.integers(0, 2**32 - 1),
+       st.sampled_from(["gap", "outside", "straddle", "edge", "any"]),
+       st.floats(0.0, 1.0), st.floats(1e-12, 1.0),
+       st.lists(st.floats(-20.0, 20.0), max_size=12),
+       st.lists(st.integers(-6, 6), max_size=4), st.booleans())
+def test_measure_skip_matches_always_solve(q, seed, kind, where, half, kappas,
+                                           edge_multiples, scalar):
+    # kappa anywhere on the line, and on edge kappas m pi / q, where the
+    # eigenvalues reach the band edges
+    kappas = kappas + [m * math.pi / q for m in edge_multiples]
+    assume(kappas)
+    rng = np.random.default_rng(seed)
+    model = random_model(q, scale=rng.uniform(0.1, 3.0), rng=rng)
+    bands = band_structure(model).bands
+    # computed band edges: the kappa = 0 and pi/q fiber eigenvalues
+    edges = np.sort(np.concatenate([
+        fiber_eigensystems(model, [0.0, math.pi / q])[0].ravel(),
+        [b.lo for b in bands], [b.hi for b in bands]]))
+    j = min(int(where * (q - 1)), q - 2)
+    if kind == "gap":  # strictly inside the gap above band j + 1
+        lo, hi = bands[j].hi, bands[j + 1].lo
+        mid = lo + (0.25 + 0.5 * where) * (hi - lo)
+        interval = (mid - half * 0.2 * (hi - lo), mid + half * 0.2 * (hi - lo))
+    elif kind == "outside":  # beyond the spectrum on one side
+        end = bands[-1].hi if where > 0.5 else bands[0].lo
+        off = (1e-6 + half) * (1 if where > 0.5 else -1)
+        interval = tuple(sorted((end + off, end + 3.0 * off)))
+    elif kind == "straddle":
+        e = edges[int(where * (edges.size - 1))]
+        interval = (e - half, e + half)
+    elif kind == "edge":  # one endpoint exactly on a computed edge
+        e = edges[int(where * (edges.size - 1))]
+        interval = (e, e + half) if scalar else (e - half, e)
+    else:
+        interval = (-3.0 + 6.0 * where - half, -3.0 + 6.0 * where + half)
+    kappa = kappas[0] if scalar else np.array(kappas)
+    assert spectral_measure_interval(model, kappa, interval) == \
+        always_solve_measure(model, kappa, interval)
+
+
+@pytest.mark.parametrize("q", [2, 5, 13])
+def test_gap_interval_solves_no_fiber(monkeypatch, q):
+    model = random_model(q, rng=np.random.default_rng(q))
+    bands = band_structure(model).bands
+    lo, hi = bands[0].hi, bands[1].lo
+    assert hi - lo > 1e-3
+    gap = (lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo))
+    above = (bands[-1].hi + 0.5, bands[-1].hi + 1.0)
+    kappas = np.linspace(-1.0, 4.0, 33)
+    want = [always_solve_measure(model, kappas, i) for i in (gap, above)]
+
+    def spy(*args):
+        raise AssertionError("a gap interval solved a fiber")
+    monkeypatch.setattr(floquet, "fiber_eigensystems", spy)
+    for interval, masses in zip((gap, above), want):
+        assert masses == [0.0] * kappas.size
+        assert spectral_measure_interval(model, kappas, interval) == masses
+        assert spectral_measure_interval(model, 0.3, interval) == 0.0
+        assert measure_kappa_infimum(model, interval) == (0.0, 0.0)
 
 
 def test_measure_kappa_infimum_full_line():

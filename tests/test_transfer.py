@@ -2,13 +2,15 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qptransport.errors import InputError, NumericalError
+from qptransport import transfer
+from qptransport.errors import InputError, MemoryLimitError, NumericalError
 from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
                                   ZeroSampling, periodic_model)
 from qptransport.floquet import band_structure
@@ -246,6 +248,68 @@ class TestLyapunov:
 
     def test_golden_grid_constant(self):
         assert GOLDEN_MEAN == pytest.approx(GOLDEN)
+
+    def test_energy_array_gives_array_fields(self):
+        est = lyapunov_exponent(AmoSampling(1.0), GOLDEN, [0.5, -1.0, 0.5],
+                                n_steps=70, theta_count=6)
+        assert est.gamma_hat.shape == est.stderr.shape == (3,)
+        assert est.per_theta.shape == (3, 6)
+        assert (est.n_steps, est.theta_count) == (70, 6)
+        one = lyapunov_exponent(AmoSampling(1.0), GOLDEN, 0.5, n_steps=70,
+                                theta_count=6)
+        assert isinstance(one.gamma_hat, float)
+        assert isinstance(one.stderr, float)
+        assert est.gamma_hat[0] == est.gamma_hat[2] == one.gamma_hat
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-6.0, 6.0) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=8),
+           st.integers(1, 48), st.integers(1, 20), st.integers(1, 31),
+           st.sampled_from(["golden", "random"]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1 << 10, 1 << 17]), st.floats(0.0, 3.0))
+    @example(energies=[2.0, -0.5], theta_count=1, cadences=4, rest=5,
+             mode="random", seed=9, block=1 << 10, coupling=1.5)
+    def test_batched_energies_match_scalar_calls(self, energies, theta_count,
+                                                 cadences, rest, mode, seed,
+                                                 block, coupling):
+        # unsorted energies with repeats, n_steps off the cadence, and
+        # blocks small enough (2^10 entries) that the run crosses several
+        energies = energies + energies[:2]
+        n_steps = RENORM_CADENCE * cadences + rest
+        f = AmoSampling(coupling)
+        with mock.patch.object(transfer, "_BLOCK_ENTRIES", block):
+            batch = lyapunov_exponent(f, GOLDEN, energies, n_steps,
+                                      theta_count, mode, seed)
+        # with every step's growth log1p|E - V| under RENORM_CADENCE of the
+        # budget the cocycle renormalizes only on the cadence, whichever
+        # energies share the run; otherwise the batch renormalizes earlier
+        # and the values move by rounding, relative to that growth scale
+        # (an in-band exponent near 0 has no relative accuracy of its own)
+        scale = math.log1p(max(map(abs, energies)) + 2.0 * coupling)
+        exact = RENORM_CADENCE * scale <= transfer._RENORM_BUDGET
+        for k, e in enumerate(energies):
+            one = lyapunov_exponent(f, GOLDEN, e, n_steps, theta_count, mode,
+                                    seed)
+            if exact:
+                assert batch.gamma_hat[k] == one.gamma_hat
+                assert batch.stderr[k] == one.stderr
+                assert np.array_equal(batch.per_theta[k], one.per_theta)
+            else:
+                tol = 1e-14 * scale
+                assert np.max(np.abs(batch.per_theta[k] - one.per_theta)) \
+                    <= tol
+                assert abs(batch.gamma_hat[k] - one.gamma_hat) <= tol
+                assert abs(batch.stderr[k] - one.stderr) <= tol
+
+    def test_memory_preflight_refuses_before_the_phase_grid(self):
+        def no_grid(*args):
+            raise AssertionError("the phase grid was built")
+        with mock.patch.object(transfer, "_theta_grid", no_grid):
+            with pytest.raises(MemoryLimitError,
+                               match="Lyapunov block over 1000000000000 "
+                                     r"phases needs about .* GiB"):
+                lyapunov_exponent(ZeroSampling(), GOLDEN, 0.0, n_steps=100,
+                                  theta_count=10**12)
 
 
 class TestGordonStatistic:
