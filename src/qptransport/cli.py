@@ -7,9 +7,9 @@ for every parameter: command-line flag > config-file entry > built-in
 default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
-library versions, BLAS threads and timings; `qpt --from-manifest m.json`
-re-executes that configuration and regenerates the data artifacts
-byte-for-byte under the same BLAS thread count.
+library and BLAS versions, BLAS threads and timings; `qpt --from-manifest
+m.json` re-executes that configuration and regenerates the data artifacts
+byte-for-byte under the same BLAS builds and thread count.
 
 Exit codes: 0 success, 1 numerical or module-level failure (and verify
 runs that found violations, and sweeps with failed points), 2 usage.
@@ -40,7 +40,7 @@ import scipy
 from . import __version__
 from .arithmetic import (Frequency, construct_liouville_frequency,
                          continued_fraction_expansion)
-from .errors import QptError
+from .errors import QptError, check_memory
 from .floquet import band_structure, discriminant, measure_uniform_lower_bound
 from .operator import (AmoSampling, Chain, TableSampling, ZeroSampling,
                        periodic_model)
@@ -271,6 +271,10 @@ def _run_discriminant(cfg: dict, out: Path):
     f = build_sampling(cfg)
     alpha = rational_alpha(cfg["freq"])
     model = periodic_model(f, alpha, cfg["theta"])
+    # the energies, the cocycle's per-site energies and states, and the
+    # rows' two lists of floats
+    check_memory(8 * cfg["count"] * (2 * model.q + 16),
+                 f"a discriminant on {cfg['count']} energies")
     lo, hi = cfg["e_min"], cfg["e_max"]
     if lo is None or hi is None:
         bs = band_structure(model)
@@ -872,6 +876,12 @@ def assemble_config(args, ini) -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
+def _blas(module) -> str:
+    """Name and version of the BLAS a numpy or SciPy build links."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg["out"])
     created = [d for d in (out, *out.parents) if not d.exists()]
@@ -892,8 +902,11 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
         "config": cfg,
         "versions": {"python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__, "scipy": scipy.__version__,
-                     "qptransport": __version__},
-        # the BLAS thread count can change the last bits of eigensolves
+                     "qptransport": __version__,
+                     "numpy_blas": _blas(np), "scipy_blas": _blas(scipy)},
+        # the BLAS builds (numpy and SciPy may bundle different ones) and
+        # the thread count can change the last bits of eigensolves and
+        # matrix products
         "threads": {**{v: os.environ.get(v) for v in (
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
             "cpu_count": os.cpu_count()},

@@ -25,6 +25,7 @@ from .errors import (
     DegeneratePointError,
     InputError,
     NearDegenerateError,
+    check_memory,
 )
 from .operator import PeriodicModel, SamplingFunction, periodic_model
 from .transfer import cocycle
@@ -209,6 +210,9 @@ def band_structure(model: PeriodicModel, kappa_grid: int = 64) -> BandStructure:
     if kappa_grid < 2:
         raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
     q = model.q
+    # the grid, its eigenvalues and weights, and the eigenvalue steps
+    check_memory(8 * kappa_grid * (3 * q + 1),
+                 f"a band structure on {kappa_grid} kappa points")
     kappas = np.linspace(0.0, math.pi / q, kappa_grid)
     grid = fiber_eigensystems(model, kappas)[0]
     lam0, lam_pi = grid[0], grid[-1]
@@ -319,22 +323,28 @@ def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
     return lower, upper
 
 
+def _band_meets(model: PeriodicModel, interval: tuple[float, float]) -> bool:
+    """Whether a band, widened by 1e-9 max(1, norm_bound), meets [a, b]:
+    each lambda_j(kappa) stays between its kappa = 0 and pi/q values."""
+    a, b = interval
+    edges = np.linalg.eigvalsh([floquet_matrix(model, k)
+                                for k in (0.0, math.pi / model.q)])
+    tol = 1e-9 * max(1.0, model.norm_bound)
+    return bool(np.any((edges.min(axis=0) - tol <= b)
+                       & (a <= edges.max(axis=0) + tol)))
+
+
 def spectral_measure_interval(model: PeriodicModel, kappa,
                               interval: tuple[float, float]):
     """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed
-    interval; a list of masses when kappa is an array.  Each lambda_j(kappa)
-    stays between its kappa = 0 and pi/q values, so when no band (widened
-    by 1e-9 max(1, norm_bound)) meets [a, b], no fiber is solved: all 0.0."""
+    interval; a list of masses when kappa is an array.  When no band meets
+    [a, b] (_band_meets), no fiber is solved: all 0.0."""
     a, b = interval
     if b < a:
         raise InputError(f"empty interval [{a}, {b}]")
     if model.q < 2:
         raise InputError("the two-site spectral measure needs q >= 2")
-    edges = np.linalg.eigvalsh([floquet_matrix(model, k)
-                                for k in (0.0, math.pi / model.q)])
-    tol = 1e-9 * max(1.0, model.norm_bound)
-    if not np.any((edges.min(axis=0) - tol <= b)
-                  & (a <= edges.max(axis=0) + tol)):
+    if not _band_meets(model, interval):
         return [0.0] * np.size(kappa) if np.ndim(kappa) else 0.0
     lams, phi = fiber_eigensystems(model, kappa)
     masses = [float(np.sum(p[(w >= a) & (w <= b)])) for w, p in zip(lams, phi)]
@@ -348,6 +358,8 @@ class MeasureLowerBound:
     kappa_argmin: float
     theta_count: int
     kappa_count: int
+    #: phases whose interval meets no band, so that their eta is 0.0
+    bandless_phases: int
 
 
 def measure_kappa_infimum(model: PeriodicModel, interval: tuple[float, float],
@@ -355,6 +367,9 @@ def measure_kappa_infimum(model: PeriodicModel, interval: tuple[float, float],
     """Infimum over a kappa grid of mu_kappa(interval); returns (eta, argmin)."""
     if kappa_grid < 2:
         raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
+    # the grid, its eigenvalues and weights, and a list of float masses
+    check_memory(8 * kappa_grid * (2 * model.q + 5),
+                 f"a measure infimum on {kappa_grid} kappa points")
     kappas = np.linspace(0.0, math.pi / model.q, kappa_grid)
     masses = spectral_measure_interval(model, kappas, interval)
     k = int(np.argmin(masses))
@@ -370,14 +385,16 @@ def measure_uniform_lower_bound(f: SamplingFunction, alpha: Fraction,
         raise InputError(f"theta_grid must be >= 1, got {theta_grid}")
     thetas = np.arange(theta_grid) / theta_grid
     best = None
+    bandless = 0
     for theta in thetas:
         model = periodic_model(f, alpha, float(theta))
         eta, kap = measure_kappa_infimum(model, interval, kappa_grid)
+        bandless += not _band_meets(model, interval)
         if best is None or eta < best[0]:
             best = (eta, float(theta), kap)
     return MeasureLowerBound(eta=best[0], theta_argmin=best[1],
                              kappa_argmin=best[2], theta_count=theta_grid,
-                             kappa_count=kappa_grid)
+                             kappa_count=kappa_grid, bandless_phases=bandless)
 
 
 def phi_occupation_measure(model: PeriodicModel, j: int,

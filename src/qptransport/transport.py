@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .arithmetic import Frequency
 from .errors import (InputError, NumericalError, TruncationError,
@@ -167,12 +168,12 @@ def _check_truncation(op: FiniteOperator, time_scale: float) -> float:
 
 #: Chebyshev order of the far field of _lorentz_form, its first-kind nodes
 #: on [-1, 1], and the matrix taking T_0..T_(p-1) at a point to the
-#: Lagrange weights of those nodes
+#: Lagrange weights of those nodes (one row per node)
 _CHEB_ORDER = 20
 _CHEB_NODES = np.cos((np.arange(_CHEB_ORDER) + 0.5) * np.pi / _CHEB_ORDER)
-_CHEB_WEIGHTS = np.cos(np.outer(np.arange(_CHEB_ORDER),
-                                np.arccos(_CHEB_NODES))) * (2.0 / _CHEB_ORDER)
-_CHEB_WEIGHTS[0] *= 0.5
+_CHEB_WEIGHTS = np.cos(np.outer(np.arccos(_CHEB_NODES),
+                                np.arange(_CHEB_ORDER))) * (2.0 / _CHEB_ORDER)
+_CHEB_WEIGHTS[:, 0] *= 0.5
 #: most kernel entries built at once
 _KERNEL_CHUNK = 1 << 18
 #: most coefficient entries (eigenvalues x columns) the time and Floquet
@@ -189,11 +190,22 @@ def _kernel(rows: np.ndarray, cols: np.ndarray, scale: float,
     return np.divide(scale * a2, d, out=d)
 
 
-def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
-                  time_scale: float) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real matrices in SciPy's BLAS, the library of the time
+    route's eigensolver: (b^T a^T)^T, on transposed views that are
+    Fortran-ordered for C-ordered a and b, so neither is copied."""
+    return dgemm(1.0, b.T, a.T).T
+
+
+def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray, time_scale: float,
+                  dot=np.matmul) -> np.ndarray:
     """c^T L c for each real column c of coeffs (shape (N,) or (N, m)),
     L_kk' = L(lam_k - lam_k'), L(x) = a^2/(x^2 + a^2), a = 2/T: an array
-    of m values.
+    of m values.  Every matrix product is dot(a, b), the product of the
+    BLAS whose eigensolver gave lams: numpy and SciPy wheels may bundle two
+    OpenBLAS builds, and on few cores each one's idle threads slow the
+    other's work.  The time route passes _dot; the Floquet route, whose
+    fiber eigensolves run in numpy, keeps numpy's matmul.
 
     Fast sum: the sorted eigenvalues are cut into blocks of
     b = ceil((2 N p^2 / 3)^(1/3)) consecutive values, or into one block when
@@ -238,17 +250,17 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
     moments = np.empty((nblk * p, c.shape[1]))
     for i in range(nblk):
         r = slice(starts[i], ends[i])
-        y = _kernel(x[r], x[r], 1.0, a2) @ c[r]
+        y = dot(_kernel(x[r], x[r], 1.0, a2), c[r])
         for j in np.flatnonzero(~far[i, i + 1:]) + i + 1:
             s = slice(starts[j], ends[j])
-            y += _kernel(x[r], x[s], 2.0, a2) @ c[s]
+            y += dot(_kernel(x[r], x[s], 2.0, a2), c[s])
         y *= c[r]
         total += y.sum(axis=0)
         if nblk > 1:
             u = (x[r] - start[i] - half[i]) / (half[i] if half[i] > 0 else 1.0)
-            basis = np.cos(np.arange(p) * np.arccos(np.clip(u, -1.0, 1.0))
-                           [:, None])
-            moments[i * p:(i + 1) * p] = (basis @ _CHEB_WEIGHTS).T @ c[r]
+            basis = np.cos(np.arange(p)[:, None]
+                           * np.arccos(np.clip(u, -1.0, 1.0)))
+            moments[i * p:(i + 1) * p] = dot(dot(_CHEB_WEIGHTS, basis), c[r])
 
     offs = half[:, None] * (1.0 + _CHEB_NODES)  # nodes minus block starts
     rows = max(1, _KERNEL_CHUNK // (p * p * nblk))
@@ -258,7 +270,7 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
         d += (start[i0:i1, None] - start[None, i0 + 1:])[:, None, :, None]
         kern = 2.0 * a2 / (d * d + a2)
         kern *= far[i0:i1, None, i0 + 1:, None]
-        y = kern.reshape((i1 - i0) * p, -1) @ moments[(i0 + 1) * p:]
+        y = dot(kern.reshape((i1 - i0) * p, -1), moments[(i0 + 1) * p:])
         y *= moments[i0 * p:i1 * p]
         total += y.sum(axis=0)
     return total
@@ -324,7 +336,7 @@ def _time_values(op: FiniteOperator, time_scale: float,
         coeffs = np.empty((op.dimension, 2 * m))
         np.multiply(rows0.T, u0[:, None], out=coeffs[:, :m])
         np.multiply(rows1.T, u1[:, None], out=coeffs[:, m:])
-        vals = _lorentz_form(w, coeffs, time_scale)
+        vals = _lorentz_form(w, coeffs, time_scale, _dot)
         out[lo:lo + m] = vals[:m] + vals[m:]
     return out
 

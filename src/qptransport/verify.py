@@ -936,6 +936,9 @@ class TheoremDemoReport:
     interval: tuple
     eta: float
     eta_by_depth: tuple
+    #: (q, phases whose interval meets no band, phases) per eta_by_depth
+    #: row: eta is 0.0 once one phase has no band there
+    bandless_phases_by_depth: tuple
     eta_cauchy_gap: float | None
     beta_target: float
     beta_hat: float
@@ -1023,7 +1026,7 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
     epsilon = max(max(widths) / 2.0, 1e-6)
     interval = (e0 - epsilon, e0 + epsilon)
 
-    eta_rows = []
+    eta_rows, bandless_rows = [], []
     for m in range(1, freq.depth + 1):
         qm = freq.convergent(m).denominator
         if qm < 2 or qm > 512:
@@ -1031,6 +1034,7 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
         mlb = measure_uniform_lower_bound(f, freq.convergent(m), interval,
                                           theta_grid=16, kappa_grid=64)
         eta_rows.append((qm, mlb.eta))
+        bandless_rows.append((qm, mlb.bandless_phases, mlb.theta_count))
     eta = eta_rows[-1][1] if eta_rows else 0.0
     cauchy = abs(eta_rows[-1][1] - eta_rows[-2][1]) \
         if len(eta_rows) >= 2 else None
@@ -1091,7 +1095,8 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
     return TheoremDemoReport(
         gamma0=gamma0, gamma0_clamped=gamma0 > gamma_raw, e0=e0,
         epsilon=epsilon, interval=interval, eta=eta,
-        eta_by_depth=tuple(eta_rows), eta_cauchy_gap=cauchy,
+        eta_by_depth=tuple(eta_rows),
+        bandless_phases_by_depth=tuple(bandless_rows), eta_cauchy_gap=cauchy,
         beta_target=beta_target, beta_hat=beta_hat, eps_prime=eps_prime,
         threshold=sched.threshold, frequency=freq, schedule=sched,
         points=tuple(points), config_snapshot=snapshot)

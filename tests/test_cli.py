@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from qptransport import cli, transport
@@ -118,6 +119,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "MemoryLimitError" in err and "physical memory" in err
         assert not (out / "moments.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["discriminant", "--count", str(10 ** 12)],
+        ["bands", "--kappa-grid", str(10 ** 12)],
+        ["measure", "--e-min", "0", "--e-max", "0.5",
+         "--kappa-grid", str(10 ** 12)],
+    ])
+    def test_grid_beyond_physical_memory_exits_one(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        # 10^12 points: refused before the grid array is built
+        def spy(*args, **kwargs):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr(np, "linspace", spy)
+        out = tmp_path / "run"
+        assert main([*argv, "--freq", "8/13", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "MemoryLimitError" in err and "physical memory" in err
+        assert not any(out.glob("*.csv")) and not any(out.glob("*.json"))
 
     def test_memory_estimate_beyond_the_float_range_exits_one(
             self, tmp_path, capsys, monkeypatch):
@@ -245,6 +264,19 @@ class TestExitCodes:
         assert main(["sweep", "--command", "lyapunov",
                      "--thetas", "0,0.5"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTheoremDemoCommand:
+    def test_vacuous_eta_counts_its_bandless_phases(self, tmp_path, capsys):
+        # no band meets e0 +- epsilon at 4 of the 16 q = 2 phases and 13 of
+        # the 16 q = 55 phases, so eta is 0.0 without being a converged bound
+        out = tmp_path / "run"
+        assert main(["theorem-demo", "--lambda", "1.05", "--delta", "0.45",
+                     "--theta-grid", "64", "--out", str(out)]) == 0
+        rep = json.loads((out / "theorem_demo.json").read_text())
+        assert rep["eta"] == 0.0 and rep["eta_cauchy_gap"] == 0.0
+        assert rep["eta_by_depth"] == [[2, 0.0], [55, 0.0]]
+        assert rep["bandless_phases_by_depth"] == [[2, 4, 16], [55, 13, 16]]
 
 
 class TestVerifyCommand:
@@ -504,6 +536,14 @@ class TestManifest:
                                 "OPENBLAS_NUM_THREADS": None,
                                 "MKL_NUM_THREADS": None,
                                 "cpu_count": os.cpu_count()}
+
+    def test_manifest_records_blas_builds(self, tmp_path, capsys):
+        # numpy and SciPy wheels may each bundle their own OpenBLAS build
+        out = tmp_path / "run"
+        assert main(["freq", "3/8", "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        for key in ("numpy_blas", "scipy_blas"):
+            assert isinstance(versions[key], str) and versions[key].strip()
 
     @pytest.mark.parametrize("argv, edit, named", [
         (["moments", "--freq", "2/5", "--time-scale", "3"],

@@ -6,13 +6,15 @@ free-Laplacian eigenvalues use the closed form 2 cos(kappa + 2 pi k / q).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qptransport import floquet
-from qptransport.errors import DegeneratePointError, InputError
+from qptransport.errors import (DegeneratePointError, InputError,
+                                MemoryLimitError)
 from qptransport.floquet import (
     Band,
     band_structure,
@@ -31,7 +33,8 @@ from qptransport.floquet import (
     phi_occupation_measure,
     spectral_measure_interval,
 )
-from qptransport.operator import AmoSampling, PeriodicModel, ZeroSampling
+from qptransport.operator import (AmoSampling, PeriodicModel, ZeroSampling,
+                                  periodic_model)
 
 RNG = np.random.default_rng(20240811)
 
@@ -404,6 +407,37 @@ def test_measure_uniform_lower_bound_amo():
                                       (-5, 5), theta_grid=8, kappa_grid=16)
     assert res.eta == pytest.approx(2.0)
     assert res.theta_count == 8
+
+
+def test_measure_uniform_lower_bound_counts_bandless_phases():
+    # AMO at 3/5: the bands move with the phase, so an interval can meet a
+    # band at some phases and none at others
+    f, alpha, grid = AmoSampling(1.5), Fraction(3, 5), 16
+    bands = [band_structure(periodic_model(f, alpha, t / grid)).bands
+             for t in range(grid)]
+    counts = []
+    for interval in [(-6.0, 6.0), *((lo, lo + 0.05)
+                                    for lo in np.linspace(-3.5, 3.5, 29))]:
+        want = sum(not any(b.lo < interval[1] and interval[0] < b.hi
+                           for b in phase) for phase in bands)
+        res = measure_uniform_lower_bound(f, alpha, interval, theta_grid=grid,
+                                          kappa_grid=16)
+        assert res.bandless_phases == want
+        assert res.eta == 0.0 or want == 0
+        counts.append(want)
+    assert 0 in counts and grid in counts
+    assert any(0 < c < grid for c in counts)
+
+
+def test_grids_beyond_physical_memory_raise_before_allocating(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("a grid was built")
+    monkeypatch.setattr(np, "linspace", spy)
+    model = random_model(13, rng=np.random.default_rng(13))
+    with pytest.raises(MemoryLimitError, match="band structure"):
+        band_structure(model, kappa_grid=10 ** 12)
+    with pytest.raises(MemoryLimitError, match="measure infimum"):
+        measure_kappa_infimum(model, (-1.0, 1.0), kappa_grid=10 ** 12)
 
 
 def test_phi_occupation_measure_free(monkeypatch):

@@ -209,6 +209,112 @@ def test_fast_lorentz_form_keeps_precision_far_from_zero():
     assert np.all(np.abs(fast - dense) <= 1e-14 * scale)
 
 
+@st.composite
+def matrix_operand(draw, rows, cols):
+    """A rows x cols float matrix in a layout _lorentz_form hands to
+    tr._dot (a C-ordered row slice) or one it might (a transposed view),
+    with entries spread over ten decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, 3))
+        return (rng.standard_normal((rows + lo + 2, cols)) * scale)[lo:lo + rows]
+    return (rng.standard_normal((cols, rows)) * scale).T
+
+
+@st.composite
+def dot_operands(draw):
+    """Shapes with zero dimensions, one-row and one-column operands, and up
+    to 64 along each axis."""
+    m, k, n = (draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 64)))
+               for _ in range(3))
+    return draw(matrix_operand(m, k)), draw(matrix_operand(k, n))
+
+
+@given(dot_operands())
+@settings(max_examples=200, deadline=None)
+def test_dot_matches_numpy_matmul(operands):
+    a, b = operands
+    got = tr._dot(a, b)
+    assert got.shape == (a.shape[0], b.shape[1])
+    # an empty inner dimension is a sum of no terms
+    assert np.all(np.abs(got - a @ b) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+
+def block_rule_products(lams, columns):
+    """The operand shapes of every matrix product _lorentz_form makes, from
+    the block rule of its docstring: blocks of b consecutive sorted values,
+    near pairs (gap below the larger width) summed directly, and for more
+    than one block each block's two Chebyshev-moment products and one
+    far-field product per chunk of block rows."""
+    x = np.sort(lams)
+    n, p = x.size, tr._CHEB_ORDER
+    size = n if n * n <= tr._KERNEL_CHUNK else \
+        math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0))
+    blocks = [x[lo:lo + size] for lo in range(0, n, size)]
+    shapes = [((u.size, v.size), (v.size, columns))
+              for i, u in enumerate(blocks) for v in blocks[i:]
+              if v is u or v[0] - u[-1] < max(np.ptp(u), np.ptp(v))]
+    if len(blocks) == 1:
+        return shapes
+    for u in blocks:
+        shapes += [((p, p), (p, u.size)), ((p, u.size), (u.size, columns))]
+    rows = max(1, tr._KERNEL_CHUNK // (p * p * len(blocks)))
+    for i0 in range(0, len(blocks) - 1, rows):
+        i1 = min(i0 + rows, len(blocks) - 1)
+        rest = (len(blocks) - 1 - i0) * p
+        shapes.append((((i1 - i0) * p, rest), (rest, columns)))
+    return shapes
+
+
+def product_spy(shapes, dot):
+    """dot, recording each product's operand shapes in shapes."""
+    return lambda a, b: shapes.append((a.shape, b.shape)) or dot(a, b)
+
+
+@pytest.mark.parametrize("n, spread", [(3000, "bands"), (3000, "uniform"),
+                                       (400, "uniform")])
+def test_lorentz_form_makes_every_product_through_dot(n, spread):
+    rng = np.random.default_rng(n)
+    if spread == "bands":  # near and far pairs between clustered blocks
+        lams = rng.choice([-2.0, 0.5, 1.0], n) + 1e-3 * rng.uniform(-1, 1, n)
+    else:
+        lams = rng.uniform(-3.0, 3.0, n)
+    coeffs = rng.standard_normal((n, 5)) / n
+    shapes = []
+    spied = tr._lorentz_form(lams, coeffs, 40.0, product_spy(shapes, tr._dot))
+    assert sorted(shapes) == sorted(block_rule_products(lams, 5))
+    np.testing.assert_array_equal(spied,
+                                  tr._lorentz_form(lams, coeffs, 40.0, tr._dot))
+
+
+def test_time_route_makes_every_product_in_scipy_blas(monkeypatch):
+    # dimension 601: eleven blocks, so near, moment and far-field products
+    op = finite_operator(periodic_model(AmoSampling(1.0), Fraction(1, 3),
+                                        0.2), 300)
+    plain = tr.abel_probability_time(op, [0, 5], 5.0)
+    shapes = []
+    monkeypatch.setattr(tr, "_dot", product_spy(shapes, tr._dot))
+    spied = tr.abel_probability_time(op, [0, 5], 5.0)
+    assert sorted(shapes) == sorted(block_rule_products(op.eigensystem()[0], 4))
+    assert any(a[0] != a[1] for a, _ in shapes)  # far-field products ran
+    np.testing.assert_array_equal(spied, plain)
+
+
+def test_floquet_route_keeps_products_beside_its_numpy_eigensolver(
+        monkeypatch):
+    model = periodic_model(AmoSampling(1.0), Fraction(1, 3), 0.2)
+    plain = tr.abel_probability_floquet(model, [0, 3], 300.0, route="kernel",
+                                        kappa_points=1024)
+
+    def scipy_product(a, b):
+        raise AssertionError("a Floquet pair sum used SciPy's BLAS")
+    monkeypatch.setattr(tr, "_dot", scipy_product)
+    np.testing.assert_array_equal(
+        tr.abel_probability_floquet(model, [0, 3], 300.0, route="kernel",
+                                    kappa_points=1024), plain)
+
+
 @given(time_scale=st.floats(0.5, 25.0), extra=st.integers(0, 40),
        coupling=st.floats(0.0, 3.0), theta=st.floats(0.0, 1.0))
 @settings(max_examples=25, deadline=None)
@@ -279,8 +385,8 @@ class TestTimeWindow:
         shapes = []
         form = tr._lorentz_form
         monkeypatch.setattr(tr, "_COLUMN_CHUNK", 1500)
-        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t:
-                            shapes.append(c.shape) or form(lams, c, t))
+        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t, dot:
+                            shapes.append(c.shape) or form(lams, c, t, dot))
         split = tr.abel_probability_time(self.MODEL, disp, 5.0)
         assert shapes == [(371, 4), (371, 4), (371, 2)]
         np.testing.assert_allclose(split, whole, rtol=1e-15, atol=1e-18)
