@@ -876,9 +876,14 @@ def assemble_config(args, ini) -> dict:
 # ---------------------------------------------------------------------------
 # execution
 
-def _blas(module) -> str:
-    """Name and version of the BLAS a numpy or SciPy build links."""
-    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+def _blas(module) -> str | None:
+    """Name and version of the BLAS a numpy or SciPy build links; None for
+    builds that do not report it (numpy < 1.26 and SciPy < 1.11 take no
+    `mode`)."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
     return f"{blas.get('name')} {blas.get('version')}"
 
 

@@ -334,21 +334,27 @@ def _band_meets(model: PeriodicModel, interval: tuple[float, float]) -> bool:
                        & (a <= edges.max(axis=0) + tol)))
 
 
-def spectral_measure_interval(model: PeriodicModel, kappa,
-                              interval: tuple[float, float]):
-    """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed
-    interval; a list of masses when kappa is an array.  When no band meets
-    [a, b] (_band_meets), no fiber is solved: all 0.0."""
+def _interval_masses(model: PeriodicModel, kappa,
+                     interval: tuple[float, float]):
+    """(spectral_measure_interval, whether a band meets [a, b])."""
     a, b = interval
     if b < a:
         raise InputError(f"empty interval [{a}, {b}]")
     if model.q < 2:
         raise InputError("the two-site spectral measure needs q >= 2")
     if not _band_meets(model, interval):
-        return [0.0] * np.size(kappa) if np.ndim(kappa) else 0.0
+        return ([0.0] * np.size(kappa) if np.ndim(kappa) else 0.0), False
     lams, phi = fiber_eigensystems(model, kappa)
     masses = [float(np.sum(p[(w >= a) & (w <= b)])) for w, p in zip(lams, phi)]
-    return masses if np.ndim(kappa) else masses[0]
+    return (masses if np.ndim(kappa) else masses[0]), True
+
+
+def spectral_measure_interval(model: PeriodicModel, kappa,
+                              interval: tuple[float, float]):
+    """mu_kappa([a, b]): sum of phi_j over eigenvalues in the closed
+    interval; a list of masses when kappa is an array.  When no band meets
+    [a, b] (_band_meets), no fiber is solved: all 0.0."""
+    return _interval_masses(model, kappa, interval)[0]
 
 
 @dataclass(frozen=True)
@@ -365,15 +371,21 @@ class MeasureLowerBound:
 def measure_kappa_infimum(model: PeriodicModel, interval: tuple[float, float],
                           kappa_grid: int = 64) -> tuple[float, float]:
     """Infimum over a kappa grid of mu_kappa(interval); returns (eta, argmin)."""
+    return _kappa_infimum(model, interval, kappa_grid)[:2]
+
+
+def _kappa_infimum(model: PeriodicModel, interval: tuple[float, float],
+                   kappa_grid: int) -> tuple[float, float, bool]:
+    """(eta, argmin, whether a band meets the interval)."""
     if kappa_grid < 2:
         raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
     # the grid, its eigenvalues and weights, and a list of float masses
     check_memory(8 * kappa_grid * (2 * model.q + 5),
                  f"a measure infimum on {kappa_grid} kappa points")
     kappas = np.linspace(0.0, math.pi / model.q, kappa_grid)
-    masses = spectral_measure_interval(model, kappas, interval)
+    masses, meets = _interval_masses(model, kappas, interval)
     k = int(np.argmin(masses))
-    return masses[k], float(kappas[k])
+    return masses[k], float(kappas[k]), meets
 
 
 def measure_uniform_lower_bound(f: SamplingFunction, alpha: Fraction,
@@ -388,8 +400,8 @@ def measure_uniform_lower_bound(f: SamplingFunction, alpha: Fraction,
     bandless = 0
     for theta in thetas:
         model = periodic_model(f, alpha, float(theta))
-        eta, kap = measure_kappa_infimum(model, interval, kappa_grid)
-        bandless += not _band_meets(model, interval)
+        eta, kap, meets = _kappa_infimum(model, interval, kappa_grid)
+        bandless += not meets
         if best is None or eta < best[0]:
             best = (eta, float(theta), kap)
     return MeasureLowerBound(eta=best[0], theta_argmin=best[1],

@@ -545,6 +545,20 @@ class TestManifest:
         for key in ("numpy_blas", "scipy_blas"):
             assert isinstance(versions[key], str) and versions[key].strip()
 
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,  # numpy < 1.26, SciPy < 1.11: no `mode`
+        lambda mode: {},
+        lambda mode: {"Build Dependencies": {"lapack": {"name": "x"}}},
+    ], ids=["no-mode", "no-build-dependencies", "no-blas"])
+    def test_manifest_blas_is_none_where_the_build_does_not_say(
+            self, tmp_path, capsys, monkeypatch, show_config):
+        monkeypatch.setattr(np, "show_config", show_config)
+        out = tmp_path / "run"
+        assert main(["freq", "3/8", "--out", str(out)]) == 0
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["numpy_blas"] is None
+        assert versions["scipy_blas"].strip()
+
     @pytest.mark.parametrize("argv, edit, named", [
         (["moments", "--freq", "2/5", "--time-scale", "3"],
          lambda c: c.pop("sampling"), "sampling"),

@@ -409,12 +409,16 @@ def test_measure_uniform_lower_bound_amo():
     assert res.theta_count == 8
 
 
-def test_measure_uniform_lower_bound_counts_bandless_phases():
+def test_measure_uniform_lower_bound_counts_bandless_phases(monkeypatch):
     # AMO at 3/5: the bands move with the phase, so an interval can meet a
     # band at some phases and none at others
     f, alpha, grid = AmoSampling(1.5), Fraction(3, 5), 16
     bands = [band_structure(periodic_model(f, alpha, t / grid)).bands
              for t in range(grid)]
+    edge_solves = []
+    band_meets = floquet._band_meets
+    monkeypatch.setattr(floquet, "_band_meets",
+                        lambda *a: edge_solves.append(1) or band_meets(*a))
     counts = []
     for interval in [(-6.0, 6.0), *((lo, lo + 0.05)
                                     for lo in np.linspace(-3.5, 3.5, 29))]:
@@ -424,6 +428,9 @@ def test_measure_uniform_lower_bound_counts_bandless_phases():
                                           kappa_grid=16)
         assert res.bandless_phases == want
         assert res.eta == 0.0 or want == 0
+        # the count is the measure's own skip: one band-edge solve a phase
+        assert len(edge_solves) == grid
+        edge_solves.clear()
         counts.append(want)
     assert 0 in counts and grid in counts
     assert any(0 < c < grid for c in counts)

@@ -2,13 +2,14 @@
 
     python3 tools/pairbench.py --parent OLD --change NEW --out BENCH.json \
         --plan theorem_demo:10,floquet_scan:10,route_agreement:5 \
-        --seed0 1501 --seconds 20 --traced theorem_demo --tier1
+        --seed0 1501 --traced theorem_demo --tier1
 
 OLD and NEW are two checkouts (for example ``git archive`` of the parent
 commit and a copy of the working tree).  For each workload of ``--plan`` the
 script runs ``perfbench/run.py --trace 0`` once in each tree per seed
-(seeds seed0, seed0 + 1, ...), parent first on even pairs and change first
-on odd ones, and records every run's end-to-end metrics with their median,
+(seeds seed0, seed0 + 1, ...) for the ``run_seconds`` of that tree's
+BENCHMARK.json, parent first on even pairs and change first on odd ones,
+and records every run's end-to-end metrics with their median,
 quartiles, the pairs the change won and the parent's quartile distance.
 ``--traced`` adds one ``--trace 1`` run per tree at seed0.  ``--tier1`` then
 runs the tier-1 suite in the change's tree and the parent's, back to back,
@@ -42,7 +43,6 @@ def parse_args(argv):
     parser.add_argument("--plan", default="",
                         help="workload:pairs,... (empty: no workload runs)")
     parser.add_argument("--seed0", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--traced", default="",
                         help="comma-separated workloads traced once per tree")
     parser.add_argument("--tier1", action="store_true")
@@ -55,11 +55,14 @@ def environment(tree: Path) -> dict:
     return env
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float,
-          trace: int) -> dict:
+def run_seconds(tree: Path) -> float:
+    return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """The last-line JSON of one perfbench run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
+           "--seed", str(seed), "--seconds", str(run_seconds(tree)),
            "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, env=environment(tree), check=True,
                           capture_output=True, text=True)
@@ -91,7 +94,7 @@ def run_workload(args, workload: str, pairs: int) -> dict:
     for k, seed in enumerate(seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for name in order:
-            res = bench(trees[name], workload, seed, args.seconds, 0)
+            res = bench(trees[name], workload, seed, 0)
             results[name].append(res)
             print(f"{workload} seed {seed} {name}: "
                   f"{res['metrics']['wall_s']['value']:.4f} s "
@@ -128,7 +131,7 @@ def main(argv=None) -> int:
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
     out.setdefault("benchmark", {})["command"] = (
         "python3 perfbench/run.py --workload W --seed S "
-        f"--seconds {args.seconds:g} --trace 0|1")
+        f"--seconds {run_seconds(args.change):g} --trace 0|1")
     plan = [item.split(":") for item in args.plan.split(",") if item]
     for workload, pairs in plan:
         out.setdefault("end_to_end", {})[workload] = \
@@ -138,7 +141,7 @@ def main(argv=None) -> int:
         layers = out.setdefault("per_layer", {"seed": args.seed0})
         layers[workload] = {
             name: {key: val["value"] for key, val in bench(
-                tree, workload, args.seed0, args.seconds, 1)["metrics"].items()}
+                tree, workload, args.seed0, 1)["metrics"].items()}
             for name, tree in (("parent", args.parent),
                                ("change", args.change))}
         args.out.write_text(json.dumps(out, indent=1) + "\n")
