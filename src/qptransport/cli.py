@@ -258,7 +258,7 @@ def _run_bands(cfg: dict, out: Path):
     f = build_sampling(cfg)
     alpha = rational_alpha(cfg["freq"])
     model = periodic_model(f, alpha, cfg["theta"])
-    bs = band_structure(model, kappa_grid=cfg["kappa_grid"])
+    bs = band_structure(model)
     rows = [(b.j, b.lo, b.hi, b.width, b.center) for b in bs.bands]
     write_csv(out / "bands.csv", ("j", "lo", "hi", "width", "center"), rows)
     widths = bs.widths
@@ -295,6 +295,8 @@ def _run_measure(cfg: dict, out: Path):
     interval = (cfg["e_min"], cfg["e_max"])
     if interval[0] is None or interval[1] is None:
         raise UsageError("measure needs --e-min and --e-max")
+    if not interval[0] <= interval[1]:
+        raise UsageError(f"measure needs e_min <= e_max, got {interval}")
     res = measure_uniform_lower_bound(f, alpha, interval,
                                       theta_grid=cfg["theta_grid"],
                                       kappa_grid=cfg["kappa_grid"])
@@ -599,6 +601,14 @@ def _csv_floats(text: str):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _moment_orders(text: str):
+    """theorem_demo's orders: one or more finite nonnegative integers."""
+    orders = _csv_floats(text)
+    if not orders or not all(p >= 0 and p.is_integer() for p in orders):
+        raise ValueError(f"need nonnegative integer orders, got {orders}")
+    return orders
+
+
 def _int_at_least(low: int) -> Callable:
     """The cast of an integer parameter whose library lower limit is low."""
     def cast(text: str) -> int:
@@ -666,7 +676,6 @@ FREQ = Param("freq", parse_freq_spec, "0.6180339887498949",
 PERIODIC_FREQ = FREQ._replace(default="8/13")
 THETA = Param("theta", float, "0.0", "phase offset")
 E_RANGE = (Param("e_min", float), Param("e_max", float))
-KAPPA_GRID = Param("kappa_grid", _int_at_least(2), "64")
 TIME_SCALE = Param("time_scale", float, "20.0")
 ORDERS = Param("orders", _csv_floats, "1,2", "comma-separated moment orders")
 RADIUS = Param("radius", int)
@@ -678,7 +687,7 @@ COMMANDS = {
         (FREQ._replace(default=None, flag="freq"),)),
     "bands": Command(
         "band structure of a periodic model", _run_bands,
-        (*SAMPLING, PERIODIC_FREQ, THETA, KAPPA_GRID)),
+        (*SAMPLING, PERIODIC_FREQ, THETA)),
     "discriminant": Command(
         "discriminant on an energy grid", _run_discriminant,
         (*SAMPLING, PERIODIC_FREQ, THETA, *E_RANGE,
@@ -686,7 +695,7 @@ COMMANDS = {
     "measure": Command(
         "uniform spectral-measure lower bound eta", _run_measure,
         (*SAMPLING, PERIODIC_FREQ, *E_RANGE, Param("theta_grid", _positive_int, "16"),
-         KAPPA_GRID)),
+         Param("kappa_grid", _int_at_least(2), "64"))),
     "lyapunov": Command(
         "phase-averaged Lyapunov estimates", _run_lyapunov,
         (*SAMPLING, FREQ,
@@ -717,7 +726,8 @@ COMMANDS = {
         "end-to-end subsequence transport demonstration", _run_theorem_demo,
         (*SAMPLING, Param("delta", float, "0.45"),
          Param("depth_budget", int, "3"), Param("theta_grid", _positive_int, "64"),
-         Param("p_list", _csv_floats, "1,2", "comma-separated moment orders"),
+         Param("p_list", _moment_orders, "1,2",
+               "comma-separated moment orders (nonnegative integers)"),
          Param("beta_target", float, "2.0"),
          Param("max_radius", int, "2500"))),
     "sweep": Command(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -72,38 +72,18 @@ def _floquet_matrix_kappa_derivative(model: PeriodicModel, kappa: float
     return d
 
 
-@dataclass(frozen=True)
-class FloquetEigensystem:
-    """Eigenvalues (ascending) and eigenvectors of one fiber matrix."""
-
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)  # columns
-
-    @property
-    def q(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def phi(self) -> np.ndarray:
-        """Two-site weights |psi_j(0)|^2 + |psi_j(1)|^2; needs q >= 2."""
-        if self.q < 2:
-            raise InputError(
-                "phi weights need the site-1 component; q must be >= 2")
-        u = self.eigenvectors
-        return np.abs(u[0, :]) ** 2 + np.abs(u[1, :]) ** 2
-
-
-def floquet_eigensystem(model: PeriodicModel, kappa: float) -> FloquetEigensystem:
-    w, u = np.linalg.eigh(floquet_matrix(model, kappa))
-    return FloquetEigensystem(eigenvalues=w, eigenvectors=u)
+def floquet_eigensystem(model: PeriodicModel, kappa: float):
+    """numpy's (eigenvalues, eigenvectors) pair of one fiber matrix:
+    eigenvalues ascending, eigenvectors as columns."""
+    return np.linalg.eigh(floquet_matrix(model, kappa))
 
 
 def fiber_eigensystems(model: PeriodicModel, kappas
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and two-site weights phi, each (K, q), of
-    the fiber matrices at K kappas: equal to floquet_eigensystem's, from
-    one eigh call per stack of at most max(q^2, 2^16) matrix entries.
-    For q = 1 site 1 is site 0 of the next cell, so phi = 2."""
+    """Eigenvalues (ascending) and weights phi_j = |psi_j(0)|^2 + |psi_j(1)|^2,
+    each (K, q), at K kappas: floquet_eigensystem's, from one eigh call per
+    stack of at most max(q^2, 2^16) matrix entries.  For q = 1 site 1 is
+    site 0 of the next cell, so phi = 2."""
     kappas = np.asarray(kappas, dtype=float).ravel()
     q = model.q
     per_block = max(1, (1 << 16) // (q * q))
@@ -171,9 +151,6 @@ class Band:
 class BandStructure:
     model: PeriodicModel
     bands: tuple
-    monotone_ok: bool = True
-    parity_ok: bool = True
-    disjoint_ok: bool = True
 
     @property
     def q(self) -> int:
@@ -201,40 +178,13 @@ def expected_derivative_sign(q: int, j: int) -> int:
     return -1 if (q - j) % 2 == 0 else 1
 
 
-def band_structure(model: PeriodicModel, kappa_grid: int = 64) -> BandStructure:
-    """Bands from the kappa = 0 and pi/q eigenvalues plus a monotonicity audit.
-
-    The audit checks, on an interior grid, that each lambda_j is monotone
-    with the parity-alternating sign, and that band interiors are disjoint.
-    """
-    if kappa_grid < 2:
-        raise InputError(f"kappa_grid must be >= 2, got {kappa_grid}")
-    q = model.q
-    # the grid, its eigenvalues and weights, and the eigenvalue steps
-    check_memory(8 * kappa_grid * (3 * q + 1),
-                 f"a band structure on {kappa_grid} kappa points")
-    kappas = np.linspace(0.0, math.pi / q, kappa_grid)
-    grid = fiber_eigensystems(model, kappas)[0]
-    lam0, lam_pi = grid[0], grid[-1]
-    bands = tuple(Band(j=j + 1, edge_zero=float(lam0[j]), edge_pi=float(lam_pi[j]))
-                  for j in range(q))
-
-    scale = max(1.0, model.norm_bound)
-    tol = 1e-10 * scale
-    diffs = np.diff(grid, axis=0)
-    monotone_ok = True
-    parity_ok = True
-    for j in range(q):
-        sign = expected_derivative_sign(q, j + 1)
-        if np.any(sign * diffs[:, j] < -tol):
-            parity_ok = False
-        d = diffs[:, j]
-        if not (np.all(d >= -tol) or np.all(d <= tol)):
-            monotone_ok = False
-    disjoint_ok = all(bands[j].hi <= bands[j + 1].lo + tol for j in range(q - 1))
-    return BandStructure(model=model, bands=bands, monotone_ok=monotone_ok,
-                         parity_ok=parity_ok and monotone_ok,
-                         disjoint_ok=disjoint_ok)
+def band_structure(model: PeriodicModel) -> BandStructure:
+    """Bands from the kappa = 0 and pi/q eigenvalues, one stacked solve:
+    each lambda_j is monotone between them."""
+    lam0, lam_pi = fiber_eigensystems(model, [0.0, math.pi / model.q])[0]
+    return BandStructure(model=model, bands=tuple(
+        Band(j=j, edge_zero=float(a), edge_pi=float(b))
+        for j, (a, b) in enumerate(zip(lam0, lam_pi), start=1)))
 
 
 def _check_interior_kappa(model: PeriodicModel, kappa: float):
@@ -254,7 +204,7 @@ def eigenvalue_derivative(model: PeriodicModel, kappa: float, j: int) -> float:
     _check_interior_kappa(model, kappa)
     if not 1 <= j <= q:
         raise InputError(f"band index {j} outside 1..{q}")
-    lam = floquet_eigensystem(model, kappa).eigenvalues[j - 1]
+    lam = floquet_eigensystem(model, kappa)[0][j - 1]
     dprime = discriminant_derivative(model, lam)
     if abs(dprime) < DEGENERATE_DISCRIMINANT_TOL:
         raise DegeneratePointError(
@@ -277,8 +227,7 @@ def phi_derivative(model: PeriodicModel, kappa: float, j: int) -> float:
     _check_interior_kappa(model, kappa)
     if not 1 <= j <= q:
         raise InputError(f"band index {j} outside 1..{q}")
-    sys = floquet_eigensystem(model, kappa)
-    lam, u = sys.eigenvalues, sys.eigenvectors
+    lam, u = floquet_eigensystem(model, kappa)
     jj = j - 1
     gaps = np.abs(lam - lam[jj])
     gaps[jj] = np.inf
@@ -325,20 +274,18 @@ def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
 
 def _band_meets(model: PeriodicModel, interval: tuple[float, float]) -> bool:
     """Whether a band, widened by 1e-9 max(1, norm_bound), meets [a, b]:
-    each lambda_j(kappa) stays between its kappa = 0 and pi/q values."""
+    each lambda_j(kappa) stays between its two band edges."""
     a, b = interval
-    edges = np.linalg.eigvalsh([floquet_matrix(model, k)
-                                for k in (0.0, math.pi / model.q)])
     tol = 1e-9 * max(1.0, model.norm_bound)
-    return bool(np.any((edges.min(axis=0) - tol <= b)
-                       & (a <= edges.max(axis=0) + tol)))
+    return any(band.lo - tol <= b and a <= band.hi + tol
+               for band in band_structure(model).bands)
 
 
 def _interval_masses(model: PeriodicModel, kappa,
                      interval: tuple[float, float]):
     """(spectral_measure_interval, whether a band meets [a, b])."""
     a, b = interval
-    if b < a:
+    if not a <= b:
         raise InputError(f"empty interval [{a}, {b}]")
     if model.q < 2:
         raise InputError("the two-site spectral measure needs q >= 2")

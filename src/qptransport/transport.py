@@ -417,9 +417,9 @@ def _resolvent_radius(time_scale: float, n_extent: int) -> int:
 
 def abel_resolvent_profile(source, displacements, time_scale: float,
                            config: EvolutionConfig = DEFAULT_CONFIG,
-                           radius: int | None = None) -> np.ndarray:
-    """P(n; T) for several displacements through the Plancherel resolvent
-    form, sharing every resolvent evaluation across the displacements.
+                           radius: int | None = None):
+    """P(n; T) through the Plancherel resolvent form for displacements in
+    _window's forms, sharing every resolvent evaluation across them.
 
     Each value is (1/(pi T)) times the integral over E of
     |G(n,0; E+i/T)|^2 + |G(n+1,1; E+i/T)|^2; the two exterior tails are
@@ -430,11 +430,8 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
     continued fractions.
     """
     time_scale = _check_time_scale(time_scale)
-    disp = np.array([int(n) for n in np.atleast_1d(displacements)],
-                    dtype=np.int64)
-    if not disp.size:
-        raise InputError("need at least one displacement")
-    lo, hi = min(int(disp.min()), 0), max(int(disp.max()) + 1, 1)
+    disp, answer = _window(displacements)
+    lo, hi = min(int(disp[0]), 0), max(int(disp[-1]) + 1, 1)
     if radius is None:
         radius = _resolvent_radius(time_scale, max(-lo, hi))
     op = _as_finite(source, radius)
@@ -446,8 +443,8 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
                            sources=(0, 1), window=(lo, hi))
         return np.abs(sol[:, rows0, 0]) ** 2 + np.abs(sol[:, rows1, 1]) ** 2
 
-    return _abel_energy_integral(integrand, op.norm_bound + 1.0, time_scale,
-                                 config)
+    return answer(_abel_energy_integral(integrand, op.norm_bound + 1.0,
+                                        time_scale, config))
 
 
 def _abel_energy_integral(integrand, bound: float, time_scale: float,
@@ -475,9 +472,8 @@ def abel_probability_resolvent(source, displacement: int, time_scale: float,
                                config: EvolutionConfig = DEFAULT_CONFIG,
                                radius: int | None = None) -> float:
     """P(n; T) through the Plancherel resolvent form (single displacement)."""
-    profile = abel_resolvent_profile(source, [int(displacement)], time_scale,
-                                     config=config, radius=radius)
-    return float(profile[0])
+    return abel_resolvent_profile(source, int(displacement), time_scale,
+                                  config=config, radius=radius)
 
 
 def _bloch_data(model: PeriodicModel, points: int, displacements):
@@ -504,9 +500,8 @@ def _bloch_data(model: PeriodicModel, points: int, displacements):
     lams = np.empty((points, q))
     vecs = np.empty((points, q, need.size), dtype=complex)  # kappa, j, row
     for m, kap in enumerate(kappas):
-        es = floquet_eigensystem(model, kap)
-        lams[m] = es.eigenvalues
-        vecs[m] = es.eigenvectors[need].T
+        lams[m], u = floquet_eigensystem(model, kap)
+        vecs[m] = u[need].T
 
     def coefficients(sel):
         s = (disp[sel, None] + (0, 1)) // q

@@ -180,8 +180,8 @@ def _determinant(case):
 
 def _derivative(case):
     for kap, j in zip(case.kappas_mid, case.band_picks):
-        sys = floquet_eigensystem(case.model, kap)
-        gaps = np.diff(sys.eigenvalues)
+        lams, _ = floquet_eigensystem(case.model, kap)
+        gaps = np.diff(lams)
         if gaps.size and float(np.min(gaps)) < 1e-6 * max(1.0, case.bound):
             yield None
             continue
@@ -203,10 +203,10 @@ def _derivative(case):
 def _last(case):
     model, q = case.model, case.q
     for kap in case.kappas_open:
-        sys = floquet_eigensystem(model, kap)
+        lams, _ = floquet_eigensystem(model, kap)
         for j in range(1, q + 1):
             band = case.bands.band(j)
-            lam = float(sys.eigenvalues[j - 1])
+            lam = float(lams[j - 1])
             dprime = discriminant_derivative(model, lam)
             mid = band.width * abs(dprime)
             lhs = (1.0 + math.sqrt(5.0)) * (1.0 - abs(math.cos(q * kap)))
@@ -234,9 +234,9 @@ def _sandwich(case):
 def _weights(case):
     q = case.q
     for kap in case.kappas_open:
-        sys = floquet_eigensystem(case.model, kap)
-        mass_err = abs(float(np.sum(sys.phi)) - 2.0)
-        u = sys.eigenvectors
+        _, u = floquet_eigensystem(case.model, kap)
+        phi = fiber_eigensystems(case.model, [kap])[1][0]
+        mass_err = abs(float(np.sum(phi)) - 2.0)
         ortho_err = float(np.max(np.abs(u.conj().T @ u - np.eye(q))))
         m = min(WEIGHT_TOL - mass_err, WEIGHT_TOL * q - ortho_err)
         yield {"kappa": kap, "mass_error": mass_err,
@@ -983,6 +983,9 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
         raise InputError(f"theta_grid must be >= 1, got {theta_grid}")
     if depth_budget < 2:
         raise InputError(f"depth budget must be >= 2, got {depth_budget}")
+    if not p_list or not all(float(p) >= 0 and float(p).is_integer()
+                             for p in p_list):
+        raise InputError(f"need nonnegative integer orders, got {p_list}")
     p_list = tuple(int(p) for p in p_list)
 
     def build(beta):

@@ -75,6 +75,31 @@ class TestBandsCommand:
         code = main(["bands", "--freq", "0.618", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_kappa_grid_is_not_an_option(self, tmp_path, capsys):
+        # the bands are the two edge solves; no grid is read
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--kappa-grid", "8", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_kappa_grid_from_old_manifest_or_ini_is_usage_error(
+            self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["bands", "--freq", "2/5", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["kappa_grid"] = 64
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        ini = tmp_path / "qpt.ini"
+        ini.write_text("[bands]\nkappa_grid = 64\n")
+        capsys.readouterr()
+        for argv in (["--from-manifest", str(old)],
+                     ["bands", "--config", str(ini)]):
+            assert main(argv + ["--out", str(tmp_path / "again")]) == 2
+            assert "kappa_grid" in capsys.readouterr().err
+            assert not (tmp_path / "again").exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
@@ -122,7 +147,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["discriminant", "--count", str(10 ** 12)],
-        ["bands", "--kappa-grid", str(10 ** 12)],
         ["measure", "--e-min", "0", "--e-max", "0.5",
          "--kappa-grid", str(10 ** 12)],
     ])
@@ -244,7 +268,8 @@ class TestExitCodes:
          "theta_grid"),
         (["theorem-demo", "--theta-grid", "-1"], "theta_grid"),
         (["verify", "floquet", "--trials", "0"], "trials"),
-        (["bands", "--kappa-grid", "1"], "kappa_grid"),
+        (["measure", "--e-min", "-1", "--e-max", "1", "--kappa-grid", "1"],
+         "kappa_grid"),
         (["verify", "floquet", "--q-max", "1"], "q_max"),
     ], ids=["n-steps", "theta-count", "measure-theta-grid",
             "demo-theta-grid", "trials", "kappa-grid", "q-max"])
@@ -266,7 +291,37 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestMeasureCommand:
+    @pytest.mark.parametrize("e_min, e_max", [("nan", "1"), ("1", "0")],
+                             ids=["nan", "reversed"])
+    def test_empty_interval_is_usage_error(self, tmp_path, capsys, e_min,
+                                           e_max):
+        out = tmp_path / "run"
+        assert main(["measure", "--freq", "3/5", "--e-min", e_min,
+                     "--e-max", e_max, "--out", str(out)]) == 2
+        assert "e_min <= e_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_endpoint_is_accepted(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["measure", "--freq", "3/5", "--e-min", "-1",
+                     "--e-max", "inf", "--out", str(out)]) == 0
+        rep = json.loads((out / "measure.json").read_text())
+        assert rep["eta"] == pytest.approx(1.01814, abs=1e-5)
+
+
 class TestTheoremDemoCommand:
+    @pytest.mark.parametrize("value", ["1.5", "nan", "-1", "1,inf", ""])
+    def test_order_that_is_not_a_nonnegative_integer_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, value):
+        # refused by the cast, before the output directory or any stage
+        monkeypatch.setattr(cli, "theorem_demo", None)
+        out = tmp_path / "run"
+        assert main(["theorem-demo", f"--p-list={value}",
+                     "--out", str(out)]) == 2
+        assert "p_list = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vacuous_eta_counts_its_bandless_phases(self, tmp_path, capsys):
         # no band meets e0 +- epsilon at 4 of the 16 q = 2 phases and 13 of
         # the 16 q = 55 phases, so eta is 0.0 without being a converged bound
@@ -377,8 +432,7 @@ CONFIG_PINS = [
     (["freq", "0.3"], None,
      {"freq": {"kind": "value", "max_terms": 32, "value": 0.3}}),
     (["bands"], None,
-     {**AMO_DEFAULTS, "freq": RATIONAL_8_13, "kappa_grid": 64,
-      "theta": 0.0}),
+     {**AMO_DEFAULTS, "freq": RATIONAL_8_13, "theta": 0.0}),
     (["discriminant", "--e-min", "-3", "--e-max", "3"], None,
      {**AMO_DEFAULTS, "count": 512, "e_max": 3.0, "e_min": -3.0,
       "freq": RATIONAL_8_13, "theta": 0.0}),

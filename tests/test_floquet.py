@@ -87,7 +87,7 @@ def test_matrix_hermitian(q):
 
 def test_free_eigenvalues_closed_form():
     q, kappa = 3, 0.1
-    w = floquet_eigensystem(free_model(q), kappa).eigenvalues
+    w, _ = floquet_eigensystem(free_model(q), kappa)
     expect = np.sort([2 * math.cos(kappa + 2 * math.pi * k / q) for k in range(q)])
     np.testing.assert_allclose(w, expect, atol=1e-12)
 
@@ -96,7 +96,7 @@ def test_free_eigenvalues_closed_form():
 @settings(max_examples=60, deadline=None)
 def test_free_eigenvalues_closed_form_property(q, kappa):
     kappa = kappa * math.pi / q
-    w = floquet_eigensystem(free_model(q), kappa).eigenvalues
+    w, _ = floquet_eigensystem(free_model(q), kappa)
     expect = np.sort([2 * math.cos(kappa + 2 * math.pi * k / q) for k in range(q)])
     np.testing.assert_allclose(w, expect, atol=1e-10)
 
@@ -152,31 +152,31 @@ def test_phi_sums_to_two(q):
     for _ in range(5):
         m = random_model(q, rng=rng)
         kappa = rng.uniform(0, math.pi / q)
-        phi = floquet_eigensystem(m, kappa).phi
+        phi = fiber_eigensystems(m, [kappa])[1][0]
         assert abs(phi.sum() - 2.0) < 1e-10
         assert np.all(phi >= 0)
 
 
-def test_phi_needs_q_at_least_two():
-    sys = floquet_eigensystem(PeriodicModel.from_potential([0.3]), 0.2)
-    with pytest.raises(InputError):
-        _ = sys.phi
+def test_phi_is_two_for_q_one():
+    # site 1 is site 0 of the next cell, so both sites carry the one weight
+    _, phi = fiber_eigensystems(PeriodicModel.from_potential([0.3]), [0.2])
+    assert phi.tolist() == [[2.0]]
 
 
 def test_conjugation_symmetry():
     m = random_model(5)
     for kappa in (0.05, 0.3, 0.55):
-        plus = floquet_eigensystem(m, kappa)
-        minus = floquet_eigensystem(m, -kappa)
-        np.testing.assert_allclose(plus.eigenvalues, minus.eigenvalues, atol=1e-12)
-        np.testing.assert_allclose(plus.phi, minus.phi, atol=1e-12)
+        (lam_plus, lam_minus), (phi_plus, phi_minus) = fiber_eigensystems(
+            m, [kappa, -kappa])
+        np.testing.assert_allclose(lam_plus, lam_minus, atol=1e-12)
+        np.testing.assert_allclose(phi_plus, phi_minus, atol=1e-12)
 
 
 def test_phi_free_q2_equal_weights():
-    sys = floquet_eigensystem(free_model(2), math.pi / 4)
-    np.testing.assert_allclose(np.sort(sys.eigenvalues),
-                               [-math.sqrt(2), math.sqrt(2)], atol=1e-12)
-    np.testing.assert_allclose(sys.phi, [1.0, 1.0], atol=1e-12)
+    (lams,), (phi,) = fiber_eigensystems(free_model(2), [math.pi / 4])
+    np.testing.assert_allclose(lams, [-math.sqrt(2), math.sqrt(2)],
+                               atol=1e-12)
+    np.testing.assert_allclose(phi, [1.0, 1.0], atol=1e-12)
 
 
 # ── bands ───────────────────────────────────────────────────────────────────
@@ -193,16 +193,44 @@ def test_free_bands_q3():
     np.testing.assert_allclose([b.lo for b in bs.bands], [-2, -1, 1], atol=1e-10)
     np.testing.assert_allclose([b.hi for b in bs.bands], [-1, 1, 2], atol=1e-10)
     np.testing.assert_allclose(bs.widths, [1.0, 2.0, 1.0], atol=1e-10)
-    assert bs.disjoint_ok
+
+
+def assert_band_audits(model):
+    """On a 96-point kappa grid each band is monotone with the parity sign
+    and starts and ends at band_structure's edges, bit for bit; band
+    interiors are disjoint."""
+    q = model.q
+    bs = band_structure(model)
+    grid, _ = fiber_eigensystems(model, np.linspace(0.0, math.pi / q, 96))
+    tol = 1e-10 * max(1.0, model.norm_bound)
+    for j, band in enumerate(bs.bands, start=1):
+        steps = expected_derivative_sign(q, j) * np.diff(grid[:, j - 1])
+        assert np.all(steps >= -tol)
+        assert band.edge_zero == grid[0, j - 1]
+        assert band.edge_pi == grid[-1, j - 1]
+    assert all(lower.hi <= upper.lo + tol
+               for lower, upper in zip(bs.bands, bs.bands[1:]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])
 def test_band_audits_pass_random_potential(q):
-    bs = band_structure(random_model(q, rng=np.random.default_rng(3 * q)),
-                        kappa_grid=96)
-    assert bs.monotone_ok
-    assert bs.parity_ok
-    assert bs.disjoint_ok
+    assert_band_audits(random_model(q, rng=np.random.default_rng(3 * q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 2**32 - 1), st.floats(0.1, 3.0))
+def test_band_audits_hold_on_random_potentials(q, seed, scale):
+    assert_band_audits(random_model(q, scale=scale,
+                                    rng=np.random.default_rng(seed)))
+
+
+def test_band_structure_solves_two_fibers(monkeypatch):
+    solved = []
+    fibers = floquet.fiber_eigensystems
+    monkeypatch.setattr(floquet, "fiber_eigensystems", lambda m, kappas:
+                        solved.append(len(kappas)) or fibers(m, kappas))
+    bs = band_structure(random_model(7, rng=np.random.default_rng(7)))
+    assert solved == [2] and len(bs.bands) == 7
 
 
 def test_band_lookup_1_indexed():
@@ -233,7 +261,7 @@ def test_eigenvalue_derivative_matches_finite_difference(q):
     h = 1e-6 / q
     for j in range(1, q + 1):
         kappa = rng.uniform(0.15, 0.85) * math.pi / q
-        lam = lambda k: floquet_eigensystem(m, k).eigenvalues[j - 1]
+        lam = lambda k: floquet_eigensystem(m, k)[0][j - 1]
         fd = (lam(kappa + h) - lam(kappa - h)) / (2 * h)
         ident = eigenvalue_derivative(m, kappa, j)
         assert ident == pytest.approx(fd, rel=1e-4, abs=1e-8)
@@ -247,7 +275,7 @@ def test_derivative_identity_product():
     h = 1e-6 / q
     for j in (1, 3, 5):
         kappa = 0.4 * math.pi / q
-        lam = lambda k: floquet_eigensystem(m, k).eigenvalues[j - 1]
+        lam = lambda k: floquet_eigensystem(m, k)[0][j - 1]
         fd = (lam(kappa + h) - lam(kappa - h)) / (2 * h)
         lamv = lam(kappa)
         lhs = abs(discriminant_derivative(m, lamv)) * abs(fd)
@@ -287,7 +315,7 @@ def test_phi_derivative_matches_finite_difference():
     h = 1e-6
     for j in (1, 2, 4):
         kappa = 0.37 * math.pi / q
-        phi = lambda k: floquet_eigensystem(m, k).phi[j - 1]
+        phi = lambda k: fiber_eigensystems(m, [k])[1][0, j - 1]
         fd = (phi(kappa + h) - phi(kappa - h)) / (2 * h)
         pert = phi_derivative(m, kappa, j)
         assert pert == pytest.approx(fd, rel=1e-3, abs=1e-8)
@@ -387,14 +415,31 @@ def test_gap_interval_solves_no_fiber(monkeypatch, q):
     kappas = np.linspace(-1.0, 4.0, 33)
     want = [always_solve_measure(model, kappas, i) for i in (gap, above)]
 
-    def spy(*args):
-        raise AssertionError("a gap interval solved a fiber")
+    # the band edges are the only fibers solved: kappa = 0 and pi/q
+    fibers = floquet.fiber_eigensystems
+
+    def spy(m, kappas):
+        assert list(kappas) == [0.0, math.pi / q], "a fiber grid was solved"
+        return fibers(m, kappas)
     monkeypatch.setattr(floquet, "fiber_eigensystems", spy)
     for interval, masses in zip((gap, above), want):
         assert masses == [0.0] * kappas.size
         assert spectral_measure_interval(model, kappas, interval) == masses
         assert spectral_measure_interval(model, 0.3, interval) == 0.0
         assert measure_kappa_infimum(model, interval) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("interval", [(math.nan, 1.0), (-1.0, math.nan),
+                                      (1.0, 0.0)])
+def test_interval_that_fails_a_le_b_is_rejected(interval):
+    with pytest.raises(InputError, match="empty interval"):
+        spectral_measure_interval(free_model(2), 0.3, interval)
+
+
+def test_infinite_endpoints_hold_the_whole_spectrum():
+    assert spectral_measure_interval(free_model(2), 0.3,
+                                     (-math.inf, math.inf)) == \
+        pytest.approx(2.0, abs=1e-12)
 
 
 def test_measure_kappa_infimum_full_line():
@@ -441,8 +486,6 @@ def test_grids_beyond_physical_memory_raise_before_allocating(monkeypatch):
         raise AssertionError("a grid was built")
     monkeypatch.setattr(np, "linspace", spy)
     model = random_model(13, rng=np.random.default_rng(13))
-    with pytest.raises(MemoryLimitError, match="band structure"):
-        band_structure(model, kappa_grid=10 ** 12)
     with pytest.raises(MemoryLimitError, match="measure infimum"):
         measure_kappa_infimum(model, (-1.0, 1.0), kappa_grid=10 ** 12)
 
@@ -472,9 +515,10 @@ def test_fiber_eigensystems_match_per_kappa_solves(q, seed, count):
     kappas = np.random.default_rng(seed + 1).uniform(0.0, math.pi / q, count)
     lams, phi = fiber_eigensystems(model, kappas)
     singles = [floquet_eigensystem(model, k) for k in kappas]
-    assert np.array_equal(lams, [s.eigenvalues for s in singles])
+    assert np.array_equal(lams, [w for w, _ in singles])
     if q >= 2:
-        assert np.array_equal(phi, [s.phi for s in singles])
+        assert np.array_equal(phi, [np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2
+                                    for _, u in singles])
     else:
         assert np.array_equal(phi, np.full((count, 1), 2.0))
 
@@ -485,9 +529,9 @@ def test_fiber_eigensystems_blocks_large_periods():
     kappas = [0.0, 0.004, 0.01]
     lams, phi = fiber_eigensystems(model, kappas)
     for k, lam, weights in zip(kappas, lams, phi):
-        one = floquet_eigensystem(model, k)
-        assert np.array_equal(lam, one.eigenvalues)
-        assert np.array_equal(weights, one.phi)
+        w, u = floquet_eigensystem(model, k)
+        assert np.array_equal(lam, w)
+        assert np.array_equal(weights, np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -217,7 +217,7 @@ class TestLyapunov:
         # centers of a deep rational approximant
         coupling = 2.0
         model = periodic_model(AmoSampling(coupling), Fraction(34, 55), 0.0)
-        centers = band_structure(model, kappa_grid=17).centers
+        centers = band_structure(model).centers
         res = min_lyapunov_on_spectrum(AmoSampling(coupling), GOLDEN, centers,
                                        n_steps=3000, theta_count=20)
         assert res.gamma == pytest.approx(math.log(coupling), rel=0.02)

@@ -104,14 +104,13 @@ def bloch_oracle(model, points, displacement):
     lams = np.empty((points, q))
     coeffs = np.empty((2, points, q), dtype=complex)
     for m, kap in enumerate(kappas):
-        es = floquet_eigensystem(model, kap)
-        lams[m] = es.eigenvalues
+        lams[m], u = floquet_eigensystem(model, kap)
         for i in (0, 1):
             g = displacement + i
             s, r = divmod(g, q)
             src = i % q
             shift = i // q  # source delta_1 sits in the next cell when q = 1
-            w = es.eigenvectors[r, :] * np.conj(es.eigenvectors[src, :])
+            w = u[r, :] * np.conj(u[src, :])
             phase = np.exp(-1j * q * kap * (s - shift))
             coeffs[i, m] = phase * w / points
     return lams, coeffs
@@ -710,6 +709,16 @@ class TestResolventRoute:
         for i, d in enumerate(disp):
             single = tr.abel_probability_resolvent(chain, d, 5.0)
             assert prof[i] == pytest.approx(single, rel=1e-7)
+
+    def test_profile_window_is_free_of_order_and_repeats(self):
+        chain = Chain(AmoSampling(1.0), GOLDEN, 0.3)
+        window = tr.abel_resolvent_profile(chain, [0, 1, 4], 5.0)
+        mixed = tr.abel_resolvent_profile(chain, [4, 0, 4, 1], 5.0)
+        assert mixed.tolist() == window[[2, 0, 2, 1]].tolist()
+        # one displacement gives a float: the one-entry window's value
+        single = tr.abel_resolvent_profile(chain, 4, 5.0)
+        assert type(single) is float
+        assert single == tr.abel_resolvent_profile(chain, [4], 5.0)[0]
 
     @pytest.mark.parametrize("call", [
         lambda: tr.abel_resolvent_profile(FREE_CHAIN, [0], 1e308),

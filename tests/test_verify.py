@@ -180,9 +180,8 @@ def _odd_in_kappa(real):
 
 def _unnormalized(real):
     def fault(model, kappa):
-        sys = real(model, kappa)
-        return dataclasses.replace(sys,
-                                   eigenvectors=sys.eigenvectors * 1.000001)
+        w, u = real(model, kappa)
+        return w, u * 1.000001
     return fault
 
 
@@ -536,6 +535,14 @@ class TestTheoremDemo:
             vf.theorem_demo(ZeroSampling(), 0.6)
         with pytest.raises(InputError):
             vf.theorem_demo(ZeroSampling(), 0.0)
+
+    @pytest.mark.parametrize("p_list", [(1, 1.5), (1, math.nan), (1, -1),
+                                        (1, math.inf), ()])
+    def test_order_validation_comes_before_every_stage(self, monkeypatch,
+                                                       p_list):
+        monkeypatch.setattr(vf, "construct_liouville_frequency", None)
+        with pytest.raises(InputError, match="nonnegative integer orders"):
+            vf.theorem_demo(ZeroSampling(), 0.45, p_list=p_list)
 
     def test_report_metadata(self):
         rep = vf.theorem_demo(AmoSampling(1.05), 0.45, theta_grid=8)

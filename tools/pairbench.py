@@ -13,8 +13,9 @@ and records every run's end-to-end metrics with their median,
 quartiles, the pairs the change won and the parent's quartile distance.
 ``--traced`` adds one ``--trace 1`` run per tree at seed0.  ``--tier1`` then
 runs the tier-1 suite in the change's tree and the parent's, back to back,
-and records each one's wall time and pass/fail counts.  Every command runs
-with PYTHONDONTWRITEBYTECODE=1, from the tree's own root.  Standard library
+and records each one's wall time and pass/fail counts.  ``src_lines`` holds
+the line count of each tree's ``src/**/*.py``.  Every command runs with
+PYTHONDONTWRITEBYTECODE=1, from the tree's own root.  Standard library
 only; the results are merged into the JSON file at ``--out``.
 """
 
@@ -57,6 +58,12 @@ def environment(tree: Path) -> dict:
 
 def run_seconds(tree: Path) -> float:
     return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the tree's src/**/*.py, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src").rglob("*.py"))
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -132,6 +139,9 @@ def main(argv=None) -> int:
     out.setdefault("benchmark", {})["command"] = (
         "python3 perfbench/run.py --workload W --seed S "
         f"--seconds {run_seconds(args.change):g} --trace 0|1")
+    out.setdefault("src_lines", {}).update(
+        how="newlines in src/**/*.py", parent=src_lines(args.parent),
+        change=src_lines(args.change))
     plan = [item.split(":") for item in args.plan.split(",") if item]
     for workload, pairs in plan:
         out.setdefault("end_to_end", {})[workload] = \
