@@ -601,10 +601,17 @@ def _csv_floats(text: str):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _orders(text: str):
+    """Moment orders: one or more (the library checks each one's value)."""
+    if not (orders := _csv_floats(text)):
+        raise ValueError("need at least one order")
+    return orders
+
+
 def _moment_orders(text: str):
     """theorem_demo's orders: one or more finite nonnegative integers."""
-    orders = _csv_floats(text)
-    if not orders or not all(p >= 0 and p.is_integer() for p in orders):
+    orders = _orders(text)
+    if not all(p >= 0 and p.is_integer() for p in orders):
         raise ValueError(f"need nonnegative integer orders, got {orders}")
     return orders
 
@@ -677,7 +684,7 @@ PERIODIC_FREQ = FREQ._replace(default="8/13")
 THETA = Param("theta", float, "0.0", "phase offset")
 E_RANGE = (Param("e_min", float), Param("e_max", float))
 TIME_SCALE = Param("time_scale", float, "20.0")
-ORDERS = Param("orders", _csv_floats, "1,2", "comma-separated moment orders")
+ORDERS = Param("orders", _orders, "1,2", "comma-separated moment orders")
 RADIUS = Param("radius", int)
 MAX_SITE = Param("max_site", int, "60")
 

@@ -140,9 +140,16 @@ def evolve(op: FiniteOperator, times, source: int = 0,
     out = np.empty((t.size, rows.shape[0]), dtype=complex)
     chunk = max(1, int(2e7) // op.dimension)
     for lo in range(0, t.size, chunk):
-        hi = min(lo + chunk, t.size)
-        phases = np.exp(-1j * np.outer(t[lo:hi], w)) * coeff[None, :]
-        out[lo:hi] = phases @ rows.T
+        m = min(chunk, t.size - lo)
+        # e^(-itw) coeff, real part over imaginary part: one real product
+        phases = np.empty((2 * m, w.size))
+        np.outer(-t[lo:lo + m], w, out=phases[m:])
+        np.cos(phases[m:], out=phases[:m])
+        np.sin(phases[m:], out=phases[m:])
+        phases *= coeff
+        amp = _dot(phases, rows.T)
+        out[lo:lo + m].real = amp[:m]
+        out[lo:lo + m].imag = amp[m:]
     return out
 
 
@@ -192,20 +199,17 @@ def _kernel(rows: np.ndarray, cols: np.ndarray, scale: float,
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for real matrices in SciPy's BLAS, the library of the time
-    route's eigensolver: (b^T a^T)^T, on transposed views that are
-    Fortran-ordered for C-ordered a and b, so neither is copied."""
+    route's eigensolver and of every large product here (two OpenBLAS
+    pools on few cores slow each other): (b^T a^T)^T, on transposed views
+    that are Fortran-ordered for C-ordered a and b, so neither is copied."""
     return dgemm(1.0, b.T, a.T).T
 
 
-def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray, time_scale: float,
-                  dot=np.matmul) -> np.ndarray:
+def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
+                  time_scale: float) -> np.ndarray:
     """c^T L c for each real column c of coeffs (shape (N,) or (N, m)),
     L_kk' = L(lam_k - lam_k'), L(x) = a^2/(x^2 + a^2), a = 2/T: an array
-    of m values.  Every matrix product is dot(a, b), the product of the
-    BLAS whose eigensolver gave lams: numpy and SciPy wheels may bundle two
-    OpenBLAS builds, and on few cores each one's idle threads slow the
-    other's work.  The time route passes _dot; the Floquet route, whose
-    fiber eigensolves run in numpy, keeps numpy's matmul.
+    of m values.  Every matrix product goes through _dot.
 
     Fast sum: the sorted eigenvalues are cut into blocks of
     b = ceil((2 N p^2 / 3)^(1/3)) consecutive values, or into one block when
@@ -250,17 +254,17 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray, time_scale: float,
     moments = np.empty((nblk * p, c.shape[1]))
     for i in range(nblk):
         r = slice(starts[i], ends[i])
-        y = dot(_kernel(x[r], x[r], 1.0, a2), c[r])
+        y = _dot(_kernel(x[r], x[r], 1.0, a2), c[r])
         for j in np.flatnonzero(~far[i, i + 1:]) + i + 1:
             s = slice(starts[j], ends[j])
-            y += dot(_kernel(x[r], x[s], 2.0, a2), c[s])
+            y += _dot(_kernel(x[r], x[s], 2.0, a2), c[s])
         y *= c[r]
         total += y.sum(axis=0)
         if nblk > 1:
             u = (x[r] - start[i] - half[i]) / (half[i] if half[i] > 0 else 1.0)
             basis = np.cos(np.arange(p)[:, None]
                            * np.arccos(np.clip(u, -1.0, 1.0)))
-            moments[i * p:(i + 1) * p] = dot(dot(_CHEB_WEIGHTS, basis), c[r])
+            moments[i * p:(i + 1) * p] = _dot(_dot(_CHEB_WEIGHTS, basis), c[r])
 
     offs = half[:, None] * (1.0 + _CHEB_NODES)  # nodes minus block starts
     rows = max(1, _KERNEL_CHUNK // (p * p * nblk))
@@ -270,7 +274,7 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray, time_scale: float,
         d += (start[i0:i1, None] - start[None, i0 + 1:])[:, None, :, None]
         kern = 2.0 * a2 / (d * d + a2)
         kern *= far[i0:i1, None, i0 + 1:, None]
-        y = dot(kern.reshape((i1 - i0) * p, -1), moments[(i0 + 1) * p:])
+        y = _dot(kern.reshape((i1 - i0) * p, -1), moments[(i0 + 1) * p:])
         y *= moments[i0 * p:i1 * p]
         total += y.sum(axis=0)
     return total
@@ -336,7 +340,7 @@ def _time_values(op: FiniteOperator, time_scale: float,
         coeffs = np.empty((op.dimension, 2 * m))
         np.multiply(rows0.T, u0[:, None], out=coeffs[:, :m])
         np.multiply(rows1.T, u1[:, None], out=coeffs[:, m:])
-        vals = _lorentz_form(w, coeffs, time_scale, _dot)
+        vals = _lorentz_form(w, coeffs, time_scale)
         out[lo:lo + m] = vals[:m] + vals[m:]
     return out
 
@@ -394,9 +398,9 @@ def moments(source, time_scale: float, orders=(2,),
             radius: int | None = None) -> TransportMoments:
     """Abel-averaged moment sums M_p(T) = sum_n |n|^p P(n; T)."""
     orders = tuple(float(p) for p in np.atleast_1d(orders))
-    if not all(math.isfinite(p) and p >= 0 for p in orders):
-        raise InputError(f"moment orders must be finite and >= 0, "
-                         f"got {orders}")
+    if not orders or not all(math.isfinite(p) and p >= 0 for p in orders):
+        raise InputError(f"moment orders must be one or more finite "
+                         f"values >= 0, got {orders}")
     dist = probability_distribution(source, time_scale, radius)
     absn = np.abs(dist.displacements.astype(float))
     values = tuple(float(np.sum(absn ** p * dist.probabilities))

@@ -174,6 +174,17 @@ class TestExitCodes:
         assert "MemoryLimitError" in capsys.readouterr().err
         assert not (out / "moments.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["moments"], ["sweep", "--command", "moments", "--thetas", "0,0.5"],
+    ], ids=["moments", "sweep"])
+    def test_empty_order_list_is_usage_error(self, tmp_path, capsys, argv):
+        # refused by the cast, before the output directory exists
+        out = tmp_path / "run"
+        assert main(argv + ["--freq", "2/5", "--orders", "",
+                            "--out", str(out)]) == 2
+        assert "orders = " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("time_scale, orders", [
         ("5", "1,1000000"), ("0.5", "1,2000"),
     ], ids=["overflow", "underflow"])

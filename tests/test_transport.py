@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -273,45 +274,53 @@ def product_spy(shapes, dot):
 
 @pytest.mark.parametrize("n, spread", [(3000, "bands"), (3000, "uniform"),
                                        (400, "uniform")])
-def test_lorentz_form_makes_every_product_through_dot(n, spread):
+def test_lorentz_form_makes_every_product_through_dot(n, spread,
+                                                     monkeypatch):
     rng = np.random.default_rng(n)
     if spread == "bands":  # near and far pairs between clustered blocks
         lams = rng.choice([-2.0, 0.5, 1.0], n) + 1e-3 * rng.uniform(-1, 1, n)
     else:
         lams = rng.uniform(-3.0, 3.0, n)
     coeffs = rng.standard_normal((n, 5)) / n
+    plain = tr._lorentz_form(lams, coeffs, 40.0)
     shapes = []
-    spied = tr._lorentz_form(lams, coeffs, 40.0, product_spy(shapes, tr._dot))
+    monkeypatch.setattr(tr, "_dot", product_spy(shapes, tr._dot))
+    spied = tr._lorentz_form(lams, coeffs, 40.0)
     assert sorted(shapes) == sorted(block_rule_products(lams, 5))
-    np.testing.assert_array_equal(spied,
-                                  tr._lorentz_form(lams, coeffs, 40.0, tr._dot))
+    np.testing.assert_array_equal(spied, plain)
 
 
 def test_time_route_makes_every_product_in_scipy_blas(monkeypatch):
-    # dimension 601: eleven blocks, so near, moment and far-field products
+    # dimension 601: eleven blocks, so near, moment and far-field products;
+    # the boundary-mass check adds one product per source, its cosine and
+    # sine rows against the 16 edge sites
     op = finite_operator(periodic_model(AmoSampling(1.0), Fraction(1, 3),
                                         0.2), 300)
     plain = tr.abel_probability_time(op, [0, 5], 5.0)
     shapes = []
     monkeypatch.setattr(tr, "_dot", product_spy(shapes, tr._dot))
     spied = tr.abel_probability_time(op, [0, 5], 5.0)
-    assert sorted(shapes) == sorted(block_rule_products(op.eigensystem()[0], 4))
+    edges = [((2, 601), (601, 16))] * 2
+    assert sorted(shapes) == sorted(
+        block_rule_products(op.eigensystem()[0], 4) + edges)
     assert any(a[0] != a[1] for a, _ in shapes)  # far-field products ran
     np.testing.assert_array_equal(spied, plain)
 
 
-def test_floquet_route_keeps_products_beside_its_numpy_eigensolver(
-        monkeypatch):
+def test_floquet_route_makes_every_product_through_dot(monkeypatch):
+    # q = 3 on 1,024 kappa points: 3,072 eigenvalues in 33 blocks and one
+    # pair sum of the window's eight real columns
     model = periodic_model(AmoSampling(1.0), Fraction(1, 3), 0.2)
     plain = tr.abel_probability_floquet(model, [0, 3], 300.0, route="kernel",
                                         kappa_points=1024)
-
-    def scipy_product(a, b):
-        raise AssertionError("a Floquet pair sum used SciPy's BLAS")
-    monkeypatch.setattr(tr, "_dot", scipy_product)
-    np.testing.assert_array_equal(
-        tr.abel_probability_floquet(model, [0, 3], 300.0, route="kernel",
-                                    kappa_points=1024), plain)
+    shapes = []
+    monkeypatch.setattr(tr, "_dot", product_spy(shapes, tr._dot))
+    spied = tr.abel_probability_floquet(model, [0, 3], 300.0, route="kernel",
+                                        kappa_points=1024)
+    lams = tr._bloch_data(model, 1024, [0, 3])[0]
+    assert sorted(shapes) == sorted(block_rule_products(lams.ravel(), 8))
+    assert any(a[0] != a[1] for a, _ in shapes)  # far-field products ran
+    np.testing.assert_array_equal(spied, plain)
 
 
 @given(time_scale=st.floats(0.5, 25.0), extra=st.integers(0, 40),
@@ -384,8 +393,8 @@ class TestTimeWindow:
         shapes = []
         form = tr._lorentz_form
         monkeypatch.setattr(tr, "_COLUMN_CHUNK", 1500)
-        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t, dot:
-                            shapes.append(c.shape) or form(lams, c, t, dot))
+        monkeypatch.setattr(tr, "_lorentz_form", lambda lams, c, t:
+                            shapes.append(c.shape) or form(lams, c, t))
         split = tr.abel_probability_time(self.MODEL, disp, 5.0)
         assert shapes == [(371, 4), (371, 4), (371, 2)]
         np.testing.assert_allclose(split, whole, rtol=1e-15, atol=1e-18)
@@ -440,17 +449,23 @@ def test_moment_orders_must_be_finite(order):
         tr.moments(FREE_CHAIN, 3.0, orders=(1.0, order))
 
 
+def test_moments_need_at_least_one_order():
+    with pytest.raises(InputError, match="moment orders"):
+        tr.moments(FREE_CHAIN, 3.0, orders=())
+
+
 @st.composite
-def evolve_inputs(draw):
-    """A truncated operator (N = 0-20, random diagonal), times with 0
-    among them, a source, and target sites in any order with repeats (or
-    None for every site)."""
-    n = draw(st.integers(0, 20))
+def evolve_inputs(draw, n_max=20):
+    """A truncated operator (N = 0-n_max, random diagonal), times with 0
+    among them, a source, and target sites: one site, several in any
+    order with repeats, or None for every site."""
+    n = draw(st.integers(0, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     op = FiniteOperator(rng.uniform(-3.0, 3.0, 2 * n + 1), n)
     times = [0.0] + draw(st.lists(st.floats(0.0, 25.0), max_size=4))
     source = draw(st.integers(-n, n))
-    sites = draw(st.none() | st.lists(st.integers(-n, n), max_size=12))
+    sites = draw(st.none() | st.lists(st.integers(-n, n), max_size=12)
+                 | st.integers(-n, n).map(lambda k: [k]))
     return op, draw(st.permutations(times)), source, sites
 
 
@@ -465,6 +480,36 @@ def test_evolve_matches_matrix_exponential(inputs):
     got = tr.evolve(op, times, source, sites)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@given(evolve_inputs(n_max=40))
+@settings(max_examples=60, deadline=None)
+def test_evolve_matches_complex_product(inputs):
+    # the complex form of the propagator's one product, down to the
+    # rounding of a sum over the eigenvalues
+    op, times, source, sites = inputs
+    w, u = op.eigensystem()
+    rows = u if sites is None else u[[op.site_index(n) for n in sites]]
+    phases = np.exp(-1j * np.outer(times, w)) * u[op.site_index(source)]
+    got = tr.evolve(op, times, source, sites)
+    assert got.shape == (len(times), rows.shape[0])
+    assert np.all(np.abs(got - phases @ rows.T)
+                  <= 1e-15 * (np.abs(phases) @ np.abs(rows.T)))
+
+
+def test_evolve_never_copies_the_eigenvectors():
+    # dimension 2,001: one copy of the eigenvector matrix, or a cast of it
+    # to complex, would allocate 8 dim^2 bytes or more
+    op = FiniteOperator(np.random.default_rng(0).uniform(-3.0, 3.0, 2001),
+                        1000)
+    op.eigensystem()
+    tracemalloc.start()
+    try:
+        tr.evolve(op, [7.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * op.dimension ** 2
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 40])

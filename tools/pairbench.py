@@ -14,7 +14,11 @@ quartiles, the pairs the change won and the parent's quartile distance.
 ``--traced`` adds one ``--trace 1`` run per tree at seed0.  ``--tier1`` then
 runs the tier-1 suite in the change's tree and the parent's, back to back,
 and records each one's wall time and pass/fail counts.  ``src_lines`` holds
-the line count of each tree's ``src/**/*.py``.  Every command runs with
+the line count of each tree's ``src/**/*.py``.  ``machine`` names the CPU
+count and architecture, the BLAS thread variables every run saw, and each
+tree's numpy and SciPy versions and BLAS builds, read under that tree's
+PYTHONPATH: two OpenBLAS builds sharing few cores run slower than one, so
+a timing holds for the machine that made it.  Every command runs with
 PYTHONDONTWRITEBYTECODE=1, from the tree's own root.  Standard library
 only; the results are merged into the JSON file at ``--out``.
 """
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import re
 import statistics
 import subprocess
@@ -34,6 +39,16 @@ from pathlib import Path
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+#: prints a tree's numpy and SciPy versions and BLAS builds as JSON
+LIBRARIES = """
+import json, numpy, scipy
+def build(module):
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"version": module.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+print(json.dumps({"numpy": build(numpy), "scipy": build(scipy)}))
+"""
 
 
 def parse_args(argv):
@@ -64,6 +79,18 @@ def src_lines(tree: Path) -> int:
     """Lines of the tree's src/**/*.py, as ``wc -l`` counts them."""
     return sum(path.read_bytes().count(b"\n")
                for path in (tree / "src").rglob("*.py"))
+
+
+def machine(trees: dict) -> dict:
+    """The host, the BLAS thread variables and each tree's libraries."""
+    libraries = {
+        name: json.loads(subprocess.run(
+            [sys.executable, "-c", LIBRARIES], cwd=tree,
+            env=environment(tree), check=True, capture_output=True,
+            text=True).stdout)
+        for name, tree in trees.items()}
+    return {"cpu_count": os.cpu_count(), "machine": platform.machine(),
+            **{var: os.environ.get(var) for var in THREAD_VARS}, **libraries}
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -142,6 +169,9 @@ def main(argv=None) -> int:
     out.setdefault("src_lines", {}).update(
         how="newlines in src/**/*.py", parent=src_lines(args.parent),
         change=src_lines(args.change))
+    out.setdefault("machine", {}).update(
+        machine({"parent": args.parent, "change": args.change}))
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
     plan = [item.split(":") for item in args.plan.split(",") if item]
     for workload, pairs in plan:
         out.setdefault("end_to_end", {})[workload] = \
