@@ -122,18 +122,13 @@ def continued_fraction_expansion(alpha, max_terms: int = 32) -> Frequency:
                      convergents=tuple(convergents))
 
 
-def beta_estimate(freq: Frequency, depth: int | None = None) -> float:
+def beta_estimate(freq: Frequency) -> float:
     """Finite-depth growth estimate max_m log(q_{m+1}) / q_m.
 
     This is a lower proxy computed from the available ladder, not the limit
     superior itself; it can only increase as more convergents are added.
-    depth limits the ladder to the first `depth` convergents.
     """
     qs = freq.denominators
-    if depth is not None:
-        if depth < 1:
-            raise InputError(f"depth must be >= 1, got {depth}")
-        qs = qs[:depth]
     if len(qs) < 2:
         raise InsufficientDataError(
             "growth estimate needs at least two convergents, got "

@@ -199,29 +199,34 @@ def build_sampling(cfg: dict):
     raise UsageError(f"unknown sampling kind {kind!r}")
 
 
+#: bytes a sweep holds per point (its dict, task, result and rows), about
+#: 1.2 KiB measured with tracemalloc, rounded up
+_SWEEP_POINT_BYTES = 2048
+
+
 def parse_axis(text: str, name: str, integer: bool = False):
     """Grid axis: 'a,b,c' list, 'lin:lo:hi:n' linspace, 'grid:n' n points
-    equispaced on [0, 1)."""
+    equispaced on [0, 1).  Values must be finite.  A grid or lin axis is
+    refused before it is built when its points alone, at _SWEEP_POINT_BYTES
+    each, would not fit in physical memory."""
     text = text.strip()
-    if text.startswith("grid:"):
+    kind, *parts = text.split(":")
+    if kind in ("grid", "lin"):
         try:
-            n = int(text[5:])
+            if len(parts) != (1 if kind == "grid" else 3):
+                raise ValueError
+            n = int(parts[-1])
+            ends = [_finite(x) for x in parts[:-1]]
         except ValueError:
-            raise UsageError(f"bad grid axis {text!r}") from None
+            raise UsageError(f"bad {kind} axis {text!r} (want grid:n or "
+                             "lin:lo:hi:n with finite lo, hi)") from None
         if n < 1:
-            raise UsageError(f"axis {name}: grid size must be >= 1")
-        return [i / n for i in range(n)]
-    if text.startswith("lin:"):
-        parts = text[4:].split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad lin axis {text!r} (want lin:lo:hi:n)")
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise UsageError(f"bad lin axis {text!r}") from None
-        if n < 1:
-            raise UsageError(f"axis {name}: lin size must be >= 1")
-        vals = np.linspace(lo, hi, n)
+            raise UsageError(f"axis {name}: {kind} size must be >= 1")
+        check_memory(_SWEEP_POINT_BYTES * n,
+                     f"a sweep axis {name} of {n} points")
+        if kind == "grid":
+            return [i / n for i in range(n)]
+        vals = np.linspace(*ends, n)
         return [int(v) for v in vals] if integer else [float(v) for v in vals]
     out = []
     for part in text.split(","):
@@ -229,9 +234,10 @@ def parse_axis(text: str, name: str, integer: bool = False):
         if not part:
             continue
         try:
-            out.append(int(part) if integer else float(part))
+            out.append(int(part) if integer else _finite(part))
         except ValueError:
-            raise UsageError(f"axis {name}: cannot parse {part!r}") from None
+            raise UsageError(f"axis {name}: cannot parse {part!r} as a "
+                             "finite value") from None
     if not out:
         raise UsageError(f"axis {name} is empty")
     return out
@@ -534,6 +540,8 @@ def _run_sweep(cfg: dict, out: Path):
     if not axes:
         raise UsageError(f"sweep needs at least one grid axis ({flags})")
     axis_names = [name for name, _ in axes]
+    count = math.prod(len(vals) for _, vals in axes)
+    check_memory(_SWEEP_POINT_BYTES * count, f"a sweep of {count} points")
     points = [dict(zip(axis_names, combo))
               for combo in itertools.product(*(vals for _, vals in axes))]
     tasks = [{"index": i, "cfg": cfg, "point": pt}
@@ -597,15 +605,34 @@ def _run_sweep(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # the parameter table: each subcommand's flags, INI keys, defaults and checks
 
-def _csv_floats(text: str):
-    return [float(p) for p in text.split(",") if p.strip()]
+def _float_between(low: float, high: float) -> Callable:
+    """The cast of a float parameter whose library limits are the open
+    interval (low, high): NaN and the infinities are refused."""
+    def cast(text: str) -> float:
+        value = float(text)
+        if not low < value < high:
+            raise ValueError(f"{value} is outside ({low:g}, {high:g})")
+        return value
+    return cast
 
 
-def _orders(text: str):
-    """Moment orders: one or more (the library checks each one's value)."""
-    if not (orders := _csv_floats(text)):
-        raise ValueError("need at least one order")
-    return orders
+_finite = _float_between(-math.inf, math.inf)
+_positive = _float_between(0.0, math.inf)
+
+
+def _csv_of(cast: Callable, least: int = 0) -> Callable:
+    """The cast of a comma-separated list of at least ``least`` entries,
+    each through cast."""
+    def cast_list(text: str):
+        values = [cast(p) for p in text.split(",") if p.strip()]
+        if len(values) < least:
+            raise ValueError(f"need at least {least} value(s)")
+        return values
+    return cast_list
+
+
+#: moment orders: one or more (the library checks each one's value)
+_orders = _csv_of(float, 1)
 
 
 def _moment_orders(text: str):
@@ -674,19 +701,21 @@ def _lyapunov(theta_count: str):
 
 
 SAMPLING = (Param("sampling", str, "amo", choices=("amo", "table", "zero")),
-            Param("lam", float, "1.0", "cosine coupling for amo sampling",
+            Param("lam", _finite, "1.0", "cosine coupling for amo sampling",
                   flag="--lambda"),
-            Param("potential", _csv_floats, None,
+            Param("potential", _csv_of(_finite), None,
                   "comma-separated table sampling values"))
 FREQ = Param("freq", parse_freq_spec, "0.6180339887498949",
              "frequency: p/q, a float, or liouville:beta=B,q1=Q,depth=D")
 PERIODIC_FREQ = FREQ._replace(default="8/13")
-THETA = Param("theta", float, "0.0", "phase offset")
+THETA = Param("theta", _finite, "0.0", "phase offset")
+#: measure takes infinite endpoints; the energy grids need finite ones
 E_RANGE = (Param("e_min", float), Param("e_max", float))
+FINITE_E_RANGE = tuple(p._replace(cast=_finite) for p in E_RANGE)
 TIME_SCALE = Param("time_scale", float, "20.0")
 ORDERS = Param("orders", _orders, "1,2", "comma-separated moment orders")
-RADIUS = Param("radius", int)
-MAX_SITE = Param("max_site", int, "60")
+RADIUS = Param("radius", _int_at_least(0))
+MAX_SITE = Param("max_site", _int_at_least(0), "60")
 
 COMMANDS = {
     "freq": Command(
@@ -697,7 +726,7 @@ COMMANDS = {
         (*SAMPLING, PERIODIC_FREQ, THETA)),
     "discriminant": Command(
         "discriminant on an energy grid", _run_discriminant,
-        (*SAMPLING, PERIODIC_FREQ, THETA, *E_RANGE,
+        (*SAMPLING, PERIODIC_FREQ, THETA, *FINITE_E_RANGE,
          Param("count", _positive_int, "512"))),
     "measure": Command(
         "uniform spectral-measure lower bound eta", _run_measure,
@@ -706,8 +735,9 @@ COMMANDS = {
     "lyapunov": Command(
         "phase-averaged Lyapunov estimates", _run_lyapunov,
         (*SAMPLING, FREQ,
-         Param("energies", _csv_floats, None, "comma-separated energy list"),
-         *E_RANGE, Param("e_count", _positive_int, "17"),
+         Param("energies", _csv_of(_finite), None,
+               "comma-separated energy list"),
+         *FINITE_E_RANGE, Param("e_count", _positive_int, "17"),
          *_lyapunov("100"))),
     "transport": Command(
         "Abel-averaged site probabilities at one T", _run_transport,
@@ -721,21 +751,22 @@ COMMANDS = {
                choices=(*VERIFY_SUITES, "all")),
          Param("trials", _positive_int, "20", "random models for floquet"),
          Param("q_max", _int_at_least(ENSEMBLE_Q_MIN), "8"),
-         Param("samples_per_model", int, "4"),
+         Param("samples_per_model", _int_at_least(0), "4"),
          SEED,
          Param("checks", _check_names, None, "comma-separated check subset"),
-         Param("time_scales", _csv_floats, "5,20",
+         Param("time_scales", _csv_of(_positive, 1), "5,20",
                "comma-separated T list (transport)"),
          MAX_SITE,
          Param("corrupt", _truthy, "false",
                "corrupt a matrix corner (self-test of the checks)"))),
     "theorem-demo": Command(
         "end-to-end subsequence transport demonstration", _run_theorem_demo,
-        (*SAMPLING, Param("delta", float, "0.45"),
-         Param("depth_budget", int, "3"), Param("theta_grid", _positive_int, "64"),
+        (*SAMPLING, Param("delta", _float_between(0.0, 0.5), "0.45"),
+         Param("depth_budget", _int_at_least(2), "3"),
+         Param("theta_grid", _positive_int, "64"),
          Param("p_list", _moment_orders, "1,2",
                "comma-separated moment orders (nonnegative integers)"),
-         Param("beta_target", float, "2.0"),
+         Param("beta_target", _positive, "2.0"),
          Param("max_radius", int, "2500"))),
     "sweep": Command(
         "grid sweep of moments or lyapunov", _run_sweep,
@@ -907,7 +938,10 @@ def _blas(module) -> str | None:
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg["out"])
     created = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"output directory {str(out)!r}: {exc}") from None
     t0 = time.perf_counter()
     try:
         code, summary, artifacts, extra = COMMANDS[command].runner(cfg, out)

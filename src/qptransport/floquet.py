@@ -255,8 +255,8 @@ def interior_window(q: int) -> tuple[float, float]:
 
 
 def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
-                        width: float | None = None) -> tuple[float, float]:
-    """Lower/upper bounds for |lambda_j'(kappa)| on (0, pi/q).
+                        width: float) -> tuple[float, float]:
+    """Bounds on |lambda_j'(kappa)| over (0, pi/q) from the width of band j.
 
     lower = 2 q sin(q kappa) * width / (4 e)
     upper = 2 q sin(q kappa) * width / ((1 + sqrt 5)(1 - |cos(q kappa)|))
@@ -264,8 +264,6 @@ def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
     q = model.q
     if not 0.0 < kappa < math.pi / q:
         raise InputError("sandwich bounds hold on the open interval (0, pi/q)")
-    if width is None:
-        width = band_structure(model).bands[j - 1].width
     s = 2.0 * q * abs(math.sin(q * kappa)) * width
     lower = s / (4.0 * math.e)
     upper = s / ((1.0 + math.sqrt(5.0)) * (1.0 - abs(math.cos(q * kappa))))

@@ -34,7 +34,7 @@ class AmoSampling(SamplingFunction):
     """f(x) = 2 * coupling * cos(2 pi x), the almost Mathieu sampling."""
 
     def __init__(self, coupling: float):
-        self.coupling = float(coupling)
+        self.coupling = float(_finite(coupling, "coupling"))
 
     def __call__(self, x):
         return 2.0 * self.coupling * np.cos(TWO_PI * np.asarray(x, dtype=float))
@@ -57,7 +57,7 @@ class TableSampling(SamplingFunction):
     """Piecewise-linear interpolation of K uniform samples on [0, 1), wrapped."""
 
     def __init__(self, values):
-        vals = np.asarray(values, dtype=float)
+        vals = _finite(values, "table sampling values")
         if vals.ndim != 1 or vals.size < 2:
             raise InputError("table sampling needs a 1-d array of >= 2 values")
         self.values = vals
@@ -99,6 +99,15 @@ def sample_potential(f: SamplingFunction, alpha, theta: float,
     return np.asarray(f(pts), dtype=float)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """values as a float array (0-d for a number); InputError if an entry
+    is NaN or infinite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{what} must be finite")
+    return arr
+
+
 def _validate_alpha(alpha):
     if isinstance(alpha, Fraction):
         if not 0 < alpha < 1:
@@ -119,6 +128,7 @@ class Chain:
 
     def __post_init__(self):
         _validate_alpha(self.alpha)
+        _finite(self.theta, "phase")
 
     def potential(self, n_lo: int, n_hi: int) -> np.ndarray:
         return sample_potential(self.f, self.alpha, self.theta, n_lo, n_hi)
@@ -147,7 +157,8 @@ class PeriodicModel:
     potential: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pot = np.asarray(self.potential, dtype=float)
+        _finite(self.theta, "phase")
+        pot = _finite(self.potential, "periodic potential")
         object.__setattr__(self, "potential", pot)
         if pot.ndim != 1 or pot.size < 1:
             raise InputError("periodic potential must be a nonempty 1-d array")
@@ -168,9 +179,8 @@ class PeriodicModel:
         return self.potential[idx]
 
     @classmethod
-    def from_potential(cls, values, alpha: Fraction | None = None,
-                       theta: float = 0.0) -> "PeriodicModel":
-        return cls(alpha=alpha, theta=theta, potential=np.asarray(values, dtype=float))
+    def from_potential(cls, values) -> "PeriodicModel":
+        return cls(alpha=None, theta=0.0, potential=values)
 
 
 def periodic_model(f: SamplingFunction, alpha: Fraction, theta: float = 0.0
@@ -188,7 +198,7 @@ class FiniteOperator:
     """Dirichlet restriction of H to the sites -N..N (dimension 2N+1)."""
 
     def __init__(self, diagonal, N: int):
-        diag = np.asarray(diagonal, dtype=float)
+        diag = _finite(diagonal, "diagonal")
         if N < 0:
             raise InputError(f"N must be >= 0, got {N}")
         if diag.shape != (2 * N + 1,):
@@ -212,20 +222,17 @@ class FiniteOperator:
     def norm_bound(self) -> float:
         return 2.0 + float(np.max(np.abs(self.diagonal)))
 
-    def tridiagonal(self):
-        """(diagonal, offdiagonal) bands for banded solvers."""
-        return self.diagonal, np.ones(self.dimension - 1)
-
     def eigensystem(self):
         """Cached (eigenvalues, eigenvectors); columns of U are eigenvectors."""
         if self._eig is None:
+            bands = self.diagonal, np.ones(self.dimension - 1)
             try:
-                w, u = scipy.linalg.eigh_tridiagonal(*self.tridiagonal())
+                w, u = scipy.linalg.eigh_tridiagonal(*bands)
             except np.linalg.LinAlgError:
                 # SciPy's default ("auto", LAPACK stevd) can fail on
                 # tightly clustered spectra; QR iteration (stev) is slower
                 # but does not give up
-                w, u = scipy.linalg.eigh_tridiagonal(*self.tridiagonal(),
+                w, u = scipy.linalg.eigh_tridiagonal(*bands,
                                                      lapack_driver="stev")
             self._eig = (w, u)
         return self._eig
@@ -293,13 +300,16 @@ class FiniteOperator:
         return out.reshape(zs.shape + out.shape[1:])
 
 
+def lattice_potential(source, n_lo: int, n_hi: int) -> np.ndarray:
+    """V(n) for n = n_lo..n_hi of a Chain or a PeriodicModel."""
+    if isinstance(source, Chain):
+        return source.potential(n_lo, n_hi)
+    if isinstance(source, PeriodicModel):
+        return source.extended(n_lo, n_hi)
+    raise InputError(f"cannot read a lattice potential from "
+                     f"{type(source).__name__}")
+
+
 def finite_operator(source, N: int) -> FiniteOperator:
     """Restrict a Chain or PeriodicModel to [-N, N] with Dirichlet cutoff."""
-    if isinstance(source, Chain):
-        diag = source.potential(-N, N)
-    elif isinstance(source, PeriodicModel):
-        diag = source.extended(-N, N)
-    else:
-        raise InputError(
-            f"cannot build a finite operator from {type(source).__name__}")
-    return FiniteOperator(diag, N)
+    return FiniteOperator(lattice_potential(source, -N, N), N)

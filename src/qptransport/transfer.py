@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, NumericalError, check_memory
-from .operator import Chain, PeriodicModel, SamplingFunction, sample_potential
+from .operator import (Chain, PeriodicModel, SamplingFunction, _finite,
+                       lattice_potential, sample_potential)
 
 RENORM_CADENCE = 32
 _OVERFLOW_GUARD = 1e250
@@ -29,23 +30,12 @@ _BLOCK_ENTRIES = 1 << 17
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _potential_segment(source, n_lo: int, n_hi: int) -> np.ndarray:
-    if isinstance(source, Chain):
-        return source.potential(n_lo, n_hi)
-    if isinstance(source, PeriodicModel):
-        return source.extended(n_lo, n_hi)
-    arr = np.asarray(source, dtype=float)
-    if arr.shape != (n_hi - n_lo + 1,):
-        raise InputError(
-            f"potential array has shape {arr.shape}, expected ({n_hi - n_lo + 1},)")
-    return arr
-
-
 @dataclass(frozen=True)
 class TransferProduct:
     """A finite transfer product with renormalization bookkeeping.
 
-    The true product equals exp(log_scale) * matrix_scaled.  det_log is the
+    The true product equals exp(log_scale) * matrix_scaled, and its
+    inverse exp(log_scale) * adj(matrix_scaled).  det_log is the
     accumulated log|det| from the QR factor stream and should vanish; the
     det sign is tracked separately and should stay +1.
     """
@@ -53,7 +43,6 @@ class TransferProduct:
     energy: float
     n_lo: int
     n_hi: int
-    inverse: bool
     matrix_scaled: np.ndarray = field(repr=False)
     log_scale: float
     det_log: float
@@ -76,9 +65,6 @@ class TransferProduct:
                 f"product norm e^{self.log_scale:.1f} overflows doubles; "
                 "use matrix_scaled and log_scale")
         return math.exp(self.log_scale) * self.matrix_scaled
-
-    def apply(self, vec) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=float)
 
 
 def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0.0,
@@ -123,25 +109,23 @@ def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0.0,
         yield x, y, log_scale
 
 
-def cocycle(a, x, y, inverse: bool = False, log_scale=0.0):
-    """The last state of cocycle_orbit (the start state if a is empty)."""
+def cocycle(a, x, y, log_scale=0.0):
+    """The last state of the forward cocycle_orbit (the start state if a is
+    empty)."""
     state = (x, y, log_scale)
-    for state in cocycle_orbit(a, x, y, inverse, log_scale):
+    for state in cocycle_orbit(a, x, y, log_scale=log_scale):
         pass
     return state
 
 
-def _det_stream(a, inverse: bool) -> tuple[float, int]:
+def _det_stream(a) -> tuple[float, int]:
     """log|det| and sign of a transfer product from its per-step Givens-QR
     factors, which stay well conditioned when the product is hyperbolic."""
     c, s = 1.0, 0.0  # the last Q factor, [[c, -s], [s, c]]
     det_logs = []
     det_sign = 1
     for count, an in enumerate(a.tolist()):
-        if inverse:
-            a00, a10, a01, a11 = s, an * s - c, c, s + an * c
-        else:
-            a00, a10, a01, a11 = an * c - s, c, -(an * s) - c, -s
+        a00, a10, a01, a11 = an * c - s, c, -(an * s) - c, -s
         r11 = math.hypot(a00, a10)
         if r11 == 0.0 or not math.isfinite(r11):
             raise NumericalError(f"transfer product degenerated at step {count}")
@@ -157,25 +141,25 @@ def _det_stream(a, inverse: bool) -> tuple[float, int]:
     return math.fsum(det_logs), det_sign
 
 
-def transfer_product(source, energy: float, n_lo: int, n_hi: int,
-                     inverse: bool = False) -> TransferProduct:
-    """Product of one-step matrices over the site interval [n_lo, n_hi].
-
-    Forward: T(n_hi)...T(n_lo).  Inverse: T^{-1}(n_lo)...T^{-1}(n_hi),
-    matching the left-half-line convention (most negative site leftmost).
-    """
+def transfer_product(source, energy: float, n_lo: int, n_hi: int
+                     ) -> TransferProduct:
+    """T(n_hi)...T(n_lo) over the sites [n_lo, n_hi] of a Chain, a
+    PeriodicModel, or an array of V(n_lo..n_hi)."""
     if n_hi < n_lo:
         raise InputError(f"empty site interval [{n_lo}, {n_hi}]")
+    if isinstance(source, (Chain, PeriodicModel)):
+        source = lattice_potential(source, n_lo, n_hi)
+    v = np.asarray(source, dtype=float)
+    if v.shape != (n_hi - n_lo + 1,):
+        raise InputError(
+            f"potential array has shape {v.shape}, expected ({n_hi - n_lo + 1},)")
     energy = float(energy)
-    a = energy - _potential_segment(source, n_lo, n_hi)
-    if inverse:
-        a = a[::-1]
+    a = energy - v
     # the rows of the product are the states, its columns the group
-    x, y, log_scale = cocycle(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                              inverse)
-    det_log, det_sign = _det_stream(a, inverse)
+    x, y, log_scale = cocycle(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    det_log, det_sign = _det_stream(a)
     return TransferProduct(
-        energy=energy, n_lo=n_lo, n_hi=n_hi, inverse=inverse,
+        energy=energy, n_lo=n_lo, n_hi=n_hi,
         matrix_scaled=np.array([x, y]), log_scale=float(log_scale),
         det_log=det_log, det_sign=det_sign)
 
@@ -219,7 +203,7 @@ def lyapunov_exponent(f: SamplingFunction, alpha, energy,
     check_memory(8 * theta_count * (4 * RENORM_CADENCE + 8),
                  f"a Lyapunov block over {theta_count} phases")
     thetas = _theta_grid(theta_count, theta_mode, seed)
-    energies = np.asarray(energy, dtype=float)
+    energies = _finite(energy, "energies")
     per_theta = np.empty((energies.size, theta_count))
     chunk = max(1, _BLOCK_ENTRIES // (RENORM_CADENCE * theta_count))
     for lo in range(0, energies.size, chunk):

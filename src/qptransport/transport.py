@@ -42,7 +42,7 @@ from .arithmetic import Frequency
 from .errors import (InputError, NumericalError, TruncationError,
                      check_memory)
 from .floquet import floquet_eigensystem
-from .operator import Chain, FiniteOperator, PeriodicModel, finite_operator
+from .operator import FiniteOperator, PeriodicModel, finite_operator
 from .quadrature import (adaptive_integrate, integrate_left_tail,
                          integrate_right_tail)
 
@@ -104,11 +104,7 @@ def truncation_radius(time_scale: float, n_extent: int = 1) -> int:
 def _as_finite(source, radius: int) -> FiniteOperator:
     if isinstance(source, FiniteOperator):
         return source
-    if isinstance(source, (Chain, PeriodicModel)):
-        return finite_operator(source, radius)
-    raise InputError(
-        f"cannot build transport from {type(source).__name__}; "
-        "pass a Chain, PeriodicModel, or FiniteOperator")
+    return finite_operator(source, radius)
 
 
 def _time_operator(source, radius: int | None, time_scale: float,
@@ -420,10 +416,10 @@ def _resolvent_radius(time_scale: float, n_extent: int) -> int:
 
 
 def abel_resolvent_profile(source, displacements, time_scale: float,
-                           config: EvolutionConfig = DEFAULT_CONFIG,
-                           radius: int | None = None):
+                           config: EvolutionConfig = DEFAULT_CONFIG):
     """P(n; T) through the Plancherel resolvent form for displacements in
-    _window's forms, sharing every resolvent evaluation across them.
+    _window's forms, sharing every resolvent evaluation across them; a
+    FiniteOperator source is used as it is.
 
     Each value is (1/(pi T)) times the integral over E of
     |G(n,0; E+i/T)|^2 + |G(n+1,1; E+i/T)|^2; the two exterior tails are
@@ -436,9 +432,7 @@ def abel_resolvent_profile(source, displacements, time_scale: float,
     time_scale = _check_time_scale(time_scale)
     disp, answer = _window(displacements)
     lo, hi = min(int(disp[0]), 0), max(int(disp[-1]) + 1, 1)
-    if radius is None:
-        radius = _resolvent_radius(time_scale, max(-lo, hi))
-    op = _as_finite(source, radius)
+    op = _as_finite(source, _resolvent_radius(time_scale, max(-lo, hi)))
     eta = 1.0 / time_scale
     rows0, rows1 = disp - lo, disp + 1 - lo
 
@@ -473,11 +467,11 @@ def _abel_energy_integral(integrand, bound: float, time_scale: float,
 
 
 def abel_probability_resolvent(source, displacement: int, time_scale: float,
-                               config: EvolutionConfig = DEFAULT_CONFIG,
-                               radius: int | None = None) -> float:
+                               config: EvolutionConfig = DEFAULT_CONFIG
+                               ) -> float:
     """P(n; T) through the Plancherel resolvent form (single displacement)."""
     return abel_resolvent_profile(source, int(displacement), time_scale,
-                                  config=config, radius=radius)
+                                  config=config)
 
 
 def _bloch_data(model: PeriodicModel, points: int, displacements):

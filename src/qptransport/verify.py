@@ -84,10 +84,6 @@ class VerificationReport:
     artifacts: tuple
     config_snapshot: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
     def rows(self, check: str) -> tuple:
         return tuple(r for r in self.artifacts if r["check"] == check)
 
@@ -309,7 +305,6 @@ def _routes(case):
     """Rows whose three routes all fall below the 1e-12 floor compare
     rounding noise: they keep the pass rule, are marked below_floor, and
     are left out of worst_margin."""
-    config = case.config
     for idx, model in enumerate(case.models):
         q = model.q
         n_max = max(1, case.max_site // q)
@@ -317,8 +312,8 @@ def _routes(case):
         disp = [n * q for n in ns]
         for t_scale in case.time_scales:
             by_time = abel_probability_time(model, disp, t_scale)
-            prof = abel_resolvent_profile(model, disp, t_scale, config)
-            floq = abel_probability_floquet(model, disp, t_scale, config,
+            prof = abel_resolvent_profile(model, disp, t_scale)
+            floq = abel_probability_floquet(model, disp, t_scale,
                                             route="kernel")
             for k, n in enumerate(ns):
                 p_time = float(by_time[k])
@@ -538,6 +533,9 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
     spurious phase in the determinant check; the report must then show
     violations (negative control for the detection machinery).
     """
+    if samples_per_model < 0:
+        raise InputError(f"samples_per_model must be >= 0, got "
+                         f"{samples_per_model}")
     if models is None:
         models = random_periodic_ensemble(count, q_max, seed)
     cases = (_FloquetCase(idx, model, seed, samples_per_model, corrupt_corner)
@@ -555,28 +553,30 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
 
 def transport_consistency_suite(models=None, time_scales=(5.0, 20.0),
                                 checks=None, max_site: int = 60,
-                                route_rel_tol: float = 1e-3,
-                                config: EvolutionConfig = DEFAULT_CONFIG,
+                                route_rel_tol: float = 1e-3
                                 ) -> VerificationReport:
     """Cross-route agreement plus the calibrated transport envelopes.
 
-    The three probability routes (eigendecomposition kernel, resolvent
-    integral, fiber sum) are compared on the periodic displacements n*q;
-    the decay and growth envelopes are audited against the frozen
-    constants.
+    The three probability routes (eigendecomposition kernel, and resolvent
+    integral and fiber sum at DEFAULT_CONFIG) are compared on the periodic
+    displacements n*q; the decay and growth envelopes are audited against
+    the frozen constants.
     """
     if models is None:
         models = (PeriodicModel.from_potential([1.0, -1.0]),
                   periodic_model(AmoSampling(1.0), Fraction(2, 5), 0.1))
     time_scales = tuple(float(t) for t in time_scales)
+    if not time_scales:
+        raise InputError("need at least one time scale")
     q2 = [m for m in models if m.q == 2]
     case = SimpleNamespace(
         models=models, time_scales=time_scales, max_site=max_site,
-        route_rel_tol=route_rel_tol, config=config, tags={},
+        route_rel_tol=route_rel_tol, tags={},
         q2_model=q2[0] if q2 else PeriodicModel.from_potential([1.0, -1.0]))
     snapshot = {"models": [list(np.asarray(m.potential)) for m in models],
                 "time_scales": list(time_scales), "max_site": max_site,
-                "route_rel_tol": route_rel_tol, "config": asdict(config),
+                "route_rel_tol": route_rel_tol,
+                "config": asdict(DEFAULT_CONFIG),
                 "constants": {
                     **{n: getattr(frozen, n) for n in (
                         "CT_RATE", "CT_PREFACTOR", "BALLISTIC_PREFACTOR",
@@ -619,6 +619,18 @@ class LowerBoundScan:
         return sum(1 for _, p, r in self.pairs if p >= r) / len(self.pairs)
 
 
+def _lower_constants(constants) -> tuple:
+    """(c, c1, cap), the frozen ones for None; InputError unless all three
+    are finite with c1 > 0 and cap >= 0."""
+    constants = tuple(constants) if constants is not None else \
+        (frozen.LOWER_C, frozen.LOWER_C1, frozen.LOWER_CAP)
+    if not (len(constants) == 3 and all(map(math.isfinite, constants))
+            and constants[1] > 0 and constants[2] >= 0):
+        raise InputError(f"lower-bound constants (c, c1, cap) must be finite "
+                         f"with c1 > 0 and cap >= 0, got {constants}")
+    return constants
+
+
 def minimal_admissible_time(q: int, eta: float, ell: float,
                             constants=None) -> float:
     """Smallest T at which the scan window contains an integer.
@@ -626,9 +638,7 @@ def minimal_admissible_time(q: int, eta: float, ell: float,
     The max of the closed threshold form (cap/c1) eta^-2 q^8 ell^-2 + 1 and
     the time placing the first admissible integer below the upper edge.
     """
-    c, c1, cap = constants if constants is not None else \
-        (frozen.LOWER_C, frozen.LOWER_C1, frozen.LOWER_CAP)
-    del c
+    _, c1, cap = _lower_constants(constants)
     if eta <= 0 or ell <= 0:
         raise InputError("eta and ell must be positive")
     lo = cap * q ** 4 / (eta * ell)
@@ -640,7 +650,7 @@ def minimal_admissible_time(q: int, eta: float, ell: float,
 
 def _scan_window(model: PeriodicModel, interval, time_scale: float,
                  constants):
-    c, c1, cap = constants
+    _, c1, cap = constants
     q = model.q
     if q < 2:
         raise InputError("the lower-bound scan needs q >= 2")
@@ -650,26 +660,18 @@ def _scan_window(model: PeriodicModel, interval, time_scale: float,
         raise InputError(
             f"measure infimum vanishes on {interval}; the lower-bound "
             "hypothesis needs eta > 0")
-    bs = band_structure(model)
-    a, b = interval
-    best = None
-    for j in range(1, q + 1):
-        band = bs.band(j)
-        if not band.intersects(a, b) or band.width <= 0:
-            continue
-        length = c1 * eta * band.width * time_scale / q ** 4 \
-            - cap * q ** 4 / (eta * band.width)
-        if best is None or length > best[0]:
-            best = (length, j, band.width)
-    if best is None:
+    meeting = [band for band in band_structure(model).bands
+               if band.intersects(*interval) and band.width > 0]
+    if not meeting:
         raise InputError(
             f"no band intersects {interval} despite eta = {eta:.3g}")
-    _, j, ell = best
+    band = max(meeting, key=lambda band: band.width)  # the first on ties
+    j, ell = band.j, band.width
     lo = cap * q ** 4 / (eta * ell)
     hi = c1 * eta * ell * time_scale / q ** 4
     n_lo = math.floor(lo) + 1
     n_hi = math.ceil(hi) - 1
-    threshold = minimal_admissible_time(q, eta, ell, (c, c1, cap))
+    threshold = minimal_admissible_time(q, eta, ell, constants)
     if n_lo > n_hi:
         raise ThresholdError(
             f"scan window ({lo:.4g}, {hi:.4g}) contains no integer at "
@@ -694,12 +696,15 @@ def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
     """Measure P(nq; T) across the admissible window of the band
     lower bound and compare against c eta^2 / (q^6 ell T).
 
-    The band is the intersecting one that maximizes the window length
-    (in practice the widest).  Raises ThresholdError with the minimal
-    admissible T when the window holds no integer.
+    The band is the widest one that meets the interval (the first of equal
+    widths): as ell grows the window's lower edge cap q^4 / (eta ell)
+    falls and its upper edge c1 eta ell T / q^4 rises, so the widest
+    band's window holds every other band's.  That needs c1 > 0 and
+    cap >= 0, so other constants, or non-finite ones, raise InputError.
+    Raises ThresholdError with the minimal admissible T when the window
+    holds no integer.
     """
-    constants = tuple(constants) if constants is not None else \
-        (frozen.LOWER_C, frozen.LOWER_C1, frozen.LOWER_CAP)
+    constants = _lower_constants(constants)
     c = constants[0]
     eta, j, ell, n_lo, n_hi, threshold = _scan_window(
         model, interval, time_scale, constants)

@@ -143,7 +143,8 @@ def test_liouville_round_trip(beta, q1, depth):
 
 def test_beta_estimate_monotone_in_depth():
     freq = construct_liouville_frequency(1.0, q1=2, depth=4)
-    vals = [beta_estimate(freq, depth=d) for d in range(2, freq.depth + 1)]
+    vals = [beta_estimate(continued_fraction_expansion(freq.value, max_terms=d))
+            for d in range(2, freq.depth + 1)]
     assert all(vals[i] <= vals[i + 1] + 1e-15 for i in range(len(vals) - 1))
 
 

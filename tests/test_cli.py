@@ -282,8 +282,27 @@ class TestExitCodes:
         (["measure", "--e-min", "-1", "--e-max", "1", "--kappa-grid", "1"],
          "kappa_grid"),
         (["verify", "floquet", "--q-max", "1"], "q_max"),
+        (["theorem-demo", "--depth-budget", "1"], "depth_budget"),
+        (["theorem-demo", "--delta", "0.7"], "delta"),
+        (["theorem-demo", "--delta", "0"], "delta"),
+        (["theorem-demo", "--beta-target", "-1"], "beta_target"),
+        (["transport", "--freq", "2/5", "--radius", "-5", "--time-scale", "5"],
+         "radius"),
+        (["transport", "--freq", "2/5", "--max-site", "-3"], "max_site"),
+        (["verify", "transport", "--checks", "truncation", "--time-scales",
+          "-1"], "time_scales"),
+        (["verify", "transport", "--checks", "truncation", "--time-scales",
+          "5,inf"], "time_scales"),
+        (["verify", "transport", "--checks", "truncation", "--time-scales",
+          ""], "time_scales"),
+        (["verify", "floquet", "--samples-per-model", "-3", "--trials", "2"],
+         "samples_per_model"),
     ], ids=["n-steps", "theta-count", "measure-theta-grid",
-            "demo-theta-grid", "trials", "kappa-grid", "q-max"])
+            "demo-theta-grid", "trials", "kappa-grid", "q-max",
+            "depth-budget", "delta-above-half", "delta-zero",
+            "beta-target-negative", "radius-negative", "max-site-negative",
+            "time-scales-negative", "time-scales-inf", "time-scales-empty",
+            "samples-per-model-negative"])
     def test_below_the_library_limit_is_usage_error(self, tmp_path, capsys,
                                                     argv, name):
         # the cast carries the library's own lower limit, so the value is
@@ -292,6 +311,48 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 2
         assert f"{name} = " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["moments", "--lambda", "nan", "--time-scale", "5"], "lam = "),
+        (["moments", "--theta", "nan", "--time-scale", "5"], "theta = "),
+        (["moments", "--sampling", "table", "--potential", "1,nan",
+          "--time-scale", "5"], "potential = "),
+        (["sweep", "--lambdas", "nan", "--time-scale", "3"], "axis lam"),
+        (["sweep", "--thetas", "lin:0:inf:3", "--time-scale", "3"],
+         "bad lin axis"),
+        (["measure", "--e-min", "0", "--e-max", "1", "--lambda", "nan"],
+         "lam = "),
+        (["bands", "--lambda", "inf"], "lam = "),
+        (["lyapunov", "--energies", "nan", "--n-steps", "10",
+          "--theta-count", "2"], "energies = "),
+        (["lyapunov", "--e-min", "0", "--e-max", "inf"], "e_max = "),
+        (["discriminant", "--e-min", "nan", "--e-max", "1", "--count", "3"],
+         "e_min = "),
+    ], ids=["moments-lambda", "moments-theta", "moments-potential",
+            "sweep-lambdas", "sweep-lin-inf", "measure-lambda", "bands-lambda",
+            "lyapunov-energies", "lyapunov-e-max", "discriminant-e-min"])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, argv,
+                                             name):
+        # once a traceback or a NaN table; now refused by the cast, before
+        # the output directory exists
+        out = tmp_path / "run"
+        assert main(argv + ["--freq", "2/5", "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, below):
+        def no_run(cfg, out):
+            raise AssertionError("the command ran")
+        monkeypatch.setitem(cli.COMMANDS, "freq",
+                            cli.COMMANDS["freq"]._replace(runner=no_run))
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        out = blocker / "sub" if below else blocker
+        assert main(["freq", "2/5", "--out", str(out)]) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
 
     def test_usage_error_leaves_no_default_directory(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -766,6 +827,41 @@ class TestSweep:
                      "--n-steps", "100", "--theta-count", "2",
                      "--time-scale", "3", "--out", str(out)] + axis)
         assert code == 2
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.fixture
+    def small_memory(self, monkeypatch):
+        """256 KiB of physical memory, and a sweep that fails if a point
+        runs: an axis or product too large for it must be refused first."""
+        sysconf = os.sysconf
+        pages = (256 << 10) // sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if
+                            name == "SC_PHYS_PAGES" else sysconf(name))
+
+        def no_point(task):
+            pytest.fail("a sweep point ran")
+        monkeypatch.setattr(cli, "_sweep_eval", no_point)
+
+    @pytest.mark.parametrize("axis", ["grid:20000", "lin:0:1:20000"])
+    def test_axis_beyond_physical_memory_exits_one(self, tmp_path, capsys,
+                                                   small_memory, axis):
+        # sized from the spec, before the axis list or a directory exists
+        out = tmp_path / "run"
+        assert main(["sweep", "--freq", "2/5", "--lambdas", axis,
+                     "--time-scale", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "MemoryLimitError" in err and "axis lam of 20000" in err
+        assert not out.exists()
+
+    def test_product_beyond_physical_memory_exits_one(self, tmp_path, capsys,
+                                                      small_memory):
+        # two 100-point axes fit; their 10,000 points do not
+        out = tmp_path / "run"
+        assert main(["sweep", "--freq", "2/5", "--lambdas", "grid:100",
+                     "--thetas", "grid:100", "--time-scale", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "MemoryLimitError" in err and "sweep of 10000 points" in err
         assert not (out / "sweep.csv").exists()
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):

@@ -101,6 +101,24 @@ def test_finite_operator_zero_potential_eigenvalues():
     np.testing.assert_allclose(w, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AmoSampling(math.nan),
+    lambda: AmoSampling(-math.inf),
+    lambda: TableSampling([1.0, math.nan, 0.5]),
+    lambda: Chain(AmoSampling(1.0), 0.3, math.nan),
+    lambda: periodic_model(AmoSampling(1.0), Fraction(2, 5), math.inf),
+    lambda: periodic_model(AmoSampling(1e308), Fraction(2, 5), 0.0),
+    lambda: PeriodicModel.from_potential([0.0, math.nan]),
+    lambda: FiniteOperator([0.0, math.inf, 0.0], 1),
+], ids=["amo-nan", "amo-inf", "table-nan", "chain-phase", "periodic-phase",
+        "periodic-overflow", "periodic-potential", "finite-diagonal"])
+def test_non_finite_inputs_are_input_errors(build):
+    # each once reached an eigensolver that raised ValueError or LinAlgError,
+    # or gave NaN bands
+    with pytest.raises(InputError, match="finite"):
+        build()
+
+
 def test_finite_operator_layout():
     chain = Chain(AmoSampling(1.0), Fraction(1, 3), theta=0.0)
     op = finite_operator(chain, N=4)
@@ -108,9 +126,7 @@ def test_finite_operator_layout():
     assert op.site_index(0) == 4
     assert op.site_index(-4) == 0
     v = chain.potential(-4, 4)
-    diag, off = op.tridiagonal()
-    np.testing.assert_allclose(diag, v)
-    np.testing.assert_array_equal(off, np.ones(8))
+    np.testing.assert_allclose(op.diagonal, v)
     with pytest.raises(InputError):
         op.site_index(5)
 

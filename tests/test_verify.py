@@ -60,7 +60,6 @@ class TestFloquetSuite:
                                         seed=2)
         assert rep.instances > 0
         assert rep.violations == 0
-        assert rep.passed
 
     def test_random_ensemble_clean(self):
         rep = vf.floquet_identity_suite(**FLOQUET_RUN)
@@ -74,12 +73,16 @@ class TestFloquetSuite:
                                         checks=("determinant",),
                                         corrupt_corner=True)
         assert rep.violations > 0
-        assert not rep.passed
         assert rep.worst_margin < 0
 
     def test_unknown_check_rejected(self):
         with pytest.raises(InputError):
             vf.floquet_identity_suite(count=2, checks=("nonsense",))
+
+    def test_negative_sample_count_rejected(self):
+        # once numpy's ValueError for negative dimensions
+        with pytest.raises(InputError, match="samples_per_model"):
+            vf.floquet_identity_suite(count=2, samples_per_model=-3)
 
     def test_report_row_filter(self):
         rep = vf.floquet_identity_suite(count=3, q_max=5, seed=0,
@@ -150,6 +153,12 @@ class TestTransportSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(InputError):
             vf.transport_consistency_suite(checks=("teleport",))
+
+    def test_empty_time_scales_rejected(self):
+        # once an IndexError from the first check that reads T
+        with pytest.raises(InputError, match="time scale"):
+            vf.transport_consistency_suite(time_scales=(),
+                                           checks=("truncation",))
 
     def test_routes_below_floor_marked_and_left_out_of_worst_margin(self):
         # P(60; T = 5) at q = 4 is about 3e-14, under the 1e-12 floor
@@ -317,6 +326,37 @@ class TestLowerBound:
         assert t2 > t1 > 0
         with pytest.raises(InputError):
             vf.minimal_admissible_time(2, 0.0, 1.2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_widest_band_has_the_longest_window(self, seed):
+        # the closed form against the search it replaced: the band meeting
+        # the interval whose window length is largest, first on ties
+        rng = np.random.default_rng(seed)
+        model = PeriodicModel.from_potential(rng.uniform(-2, 2, 2 + seed))
+        interval = full_spectrum(model)
+        constants = (frozen.LOWER_C, frozen.LOWER_C1, frozen.LOWER_CAP)
+        eta, j, ell, n_lo, n_hi, _ = vf._scan_window(model, interval, 1e9,
+                                                     constants)
+        _, c1, cap = constants
+        q = model.q
+        lengths = [c1 * eta * b.width * 1e9 / q ** 4
+                   - cap * q ** 4 / (eta * b.width)
+                   for b in band_structure(model).bands]
+        assert j == 1 + int(np.argmax(lengths))
+        assert ell == band_structure(model).band(j).width
+
+    @pytest.mark.parametrize("constants", [
+        (3.0, 0.0, 10.0), (3.0, -1.0, 10.0), (3.0, 3.0, -0.5),
+        (3.0, math.nan, 10.0), (math.inf, 3.0, 10.0), (3.0, 3.0, math.inf),
+    ], ids=["c1-zero", "c1-negative", "cap-negative", "c1-nan", "c-inf",
+            "cap-inf"])
+    def test_constants_outside_the_bound_are_input_errors(self, constants):
+        # c1 = 0 divided by zero, and c1 = -1 named a minimal T of 0.9995
+        with pytest.raises(InputError, match="c1 > 0 and cap >= 0"):
+            vf.lower_bound_scan(Q2_MODEL, full_spectrum(Q2_MODEL), 250.0,
+                                constants)
+        with pytest.raises(InputError, match="c1 > 0 and cap >= 0"):
+            vf.minimal_admissible_time(2, 2.0, 1.2, constants)
 
     def test_gap_interval_rejected(self):
         bs = band_structure(Q2_MODEL)

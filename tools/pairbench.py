@@ -14,7 +14,9 @@ quartiles, the pairs the change won and the parent's quartile distance.
 ``--traced`` adds one ``--trace 1`` run per tree at seed0.  ``--tier1`` then
 runs the tier-1 suite in the change's tree and the parent's, back to back,
 and records each one's wall time and pass/fail counts.  ``src_lines`` holds
-the line count of each tree's ``src/**/*.py``.  ``machine`` names the CPU
+the line count of each tree's ``src/**/*.py``, and ``src_lines.files`` each
+``src/qptransport/*.py`` file's, so a change shows where its lines went.
+``machine`` names the CPU
 count and architecture, the BLAS thread variables every run saw, and each
 tree's numpy and SciPy versions and BLAS builds, read under that tree's
 PYTHONPATH: two OpenBLAS builds sharing few cores run slower than one, so
@@ -75,10 +77,24 @@ def run_seconds(tree: Path) -> float:
     return json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
 
 
+def line_count(path: Path) -> int:
+    """Lines of one file, as ``wc -l`` counts them."""
+    return path.read_bytes().count(b"\n")
+
+
 def src_lines(tree: Path) -> int:
-    """Lines of the tree's src/**/*.py, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src").rglob("*.py"))
+    """Lines of the tree's src/**/*.py."""
+    return sum(map(line_count, (tree / "src").rglob("*.py")))
+
+
+def src_files(trees: dict) -> dict:
+    """file name -> {tree name: lines} for each src/qptransport/*.py, 0
+    where a tree lacks the file."""
+    dirs = {key: tree / "src" / "qptransport" for key, tree in trees.items()}
+    names = sorted({p.name for d in dirs.values() for p in d.glob("*.py")})
+    return {name: {key: line_count(d / name) if (d / name).exists() else 0
+                   for key, d in dirs.items()}
+            for name in names}
 
 
 def machine(trees: dict) -> dict:
@@ -166,11 +182,11 @@ def main(argv=None) -> int:
     out.setdefault("benchmark", {})["command"] = (
         "python3 perfbench/run.py --workload W --seed S "
         f"--seconds {run_seconds(args.change):g} --trace 0|1")
+    trees = {"parent": args.parent, "change": args.change}
     out.setdefault("src_lines", {}).update(
         how="newlines in src/**/*.py", parent=src_lines(args.parent),
-        change=src_lines(args.change))
-    out.setdefault("machine", {}).update(
-        machine({"parent": args.parent, "change": args.change}))
+        change=src_lines(args.change), files=src_files(trees))
+    out.setdefault("machine", {}).update(machine(trees))
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     plan = [item.split(":") for item in args.plan.split(",") if item]
     for workload, pairs in plan:
