@@ -7,9 +7,11 @@ for every parameter: command-line flag > config-file entry > built-in
 default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
-library and BLAS versions, BLAS threads and timings; `qpt --from-manifest
-m.json` re-executes that configuration and regenerates the data artifacts
-byte-for-byte under the same BLAS builds and thread count.
+library and BLAS versions, BLAS threads and timings; a run that fails
+with a QptError other than a usage error records the error there.
+`qpt --from-manifest m.json` re-executes that configuration and
+regenerates the data artifacts byte-for-byte under the same BLAS builds
+and thread count.
 
 Exit codes: 0 success, 1 numerical or module-level failure (and verify
 runs that found violations, and sweeps with failed points), 2 usage.
@@ -935,6 +937,28 @@ def _blas(module) -> str | None:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
+def _manifest(command: str, cfg: dict, elapsed: float, **outcome) -> dict:
+    """The manifest.json of one run: its config, the library builds and
+    threads that ran it, its wall time, and outcome's entries."""
+    return {
+        "schema": MANIFEST_SCHEMA,
+        "command": command,
+        "config": cfg,
+        "versions": {"python": ".".join(map(str, sys.version_info[:3])),
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "qptransport": __version__,
+                     "numpy_blas": _blas(np), "scipy_blas": _blas(scipy)},
+        # the BLAS builds (numpy and SciPy may bundle different ones) and
+        # the thread count can change the last bits of eigensolves and
+        # matrix products
+        "threads": {**{v: os.environ.get(v) for v in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()},
+        "timings": {"total_seconds": elapsed},
+        **outcome,
+    }
+
+
 def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
     out = Path(out_dir if out_dir is not None else cfg["out"])
     created = [d for d in (out, *out.parents) if not d.exists()]
@@ -951,26 +975,15 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
                 break
             d.rmdir()
         raise
+    except QptError as exc:  # the failed run is recorded, then reported
+        write_json(out / "manifest.json", _manifest(
+            command, cfg, time.perf_counter() - t0, status="error",
+            error={"type": type(exc).__name__, "message": str(exc)}))
+        raise
     elapsed = time.perf_counter() - t0
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "command": command,
-        "config": cfg,
-        "versions": {"python": ".".join(map(str, sys.version_info[:3])),
-                     "numpy": np.__version__, "scipy": scipy.__version__,
-                     "qptransport": __version__,
-                     "numpy_blas": _blas(np), "scipy_blas": _blas(scipy)},
-        # the BLAS builds (numpy and SciPy may bundle different ones) and
-        # the thread count can change the last bits of eigensolves and
-        # matrix products
-        "threads": {**{v: os.environ.get(v) for v in (
-            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": os.cpu_count()},
-        "timings": {"total_seconds": elapsed},
-        "artifacts": artifacts,
-        "results": extra,
-    }
-    write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", _manifest(
+        command, cfg, elapsed, status="ok", artifacts=artifacts,
+        results=extra))
     print(f"{summary}  [{elapsed:.2f}s -> {out}]")
     return code
 

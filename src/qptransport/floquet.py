@@ -254,9 +254,10 @@ def interior_window(q: int) -> tuple[float, float]:
     return edge, math.pi / q - edge
 
 
-def derivative_sandwich(model: PeriodicModel, kappa: float, j: int,
+def derivative_sandwich(model: PeriodicModel, kappa: float,
                         width: float) -> tuple[float, float]:
-    """Bounds on |lambda_j'(kappa)| over (0, pi/q) from the width of band j.
+    """Bounds on |lambda_j'(kappa)| over (0, pi/q), for the band j whose
+    width is given (the bounds depend on j through it alone).
 
     lower = 2 q sin(q kappa) * width / (4 e)
     upper = 2 q sin(q kappa) * width / ((1 + sqrt 5)(1 - |cos(q kappa)|))

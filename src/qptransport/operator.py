@@ -189,6 +189,7 @@ def periodic_model(f: SamplingFunction, alpha: Fraction, theta: float = 0.0
     if not isinstance(alpha, Fraction):
         raise InputError("periodic model needs a Fraction frequency")
     _validate_alpha(alpha)
+    _finite(theta, "phase")  # before the phase is sampled
     q = alpha.denominator
     pot = sample_potential(f, alpha, theta, 0, q - 1)
     return PeriodicModel(alpha=alpha, theta=theta, potential=pot)

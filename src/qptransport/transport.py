@@ -201,25 +201,77 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dgemm(1.0, b.T, a.T).T
 
 
+def _admissible(x: np.ndarray, bounds: np.ndarray):
+    """For blocks x[bounds[i]:bounds[i + 1]] of sorted x: the admissible
+    pairs (far[i, j] for i < j) and the kernel entries the fast sum builds,
+    counted as sum over near pairs i <= j of b_i b_j plus (blocks p)^2 / 2
+    on the nodes.  The gaps are taken at most _KERNEL_CHUNK at a time."""
+    starts, ends = bounds[:-1], bounds[1:]
+    start, last = x[starts], x[ends - 1]
+    width = last - start
+    far = np.empty((starts.size, starts.size), dtype=bool)
+    rows = max(1, _KERNEL_CHUNK // starts.size)
+    for r in range(0, starts.size, rows):  # gaps from block i up to block j
+        gap = start[None, :] - last[r:r + rows, None]
+        far[r:r + rows] = (gap >= width[r:r + rows, None]) & (gap >= width)
+    far = np.triu(far, 1)
+    i, j = np.nonzero(np.triu(~far))  # near pairs, i <= j
+    sizes = (ends - starts).astype(float)
+    return far, sizes[i] @ sizes[j] + 0.5 * (starts.size * _CHEB_ORDER) ** 2
+
+
+def _blocks(x: np.ndarray):
+    """The block bounds of _lorentz_form on sorted x (block i is
+    x[bounds[i]:bounds[i + 1]]) and their admissible pairs.
+
+    One block when N^2 fits in _KERNEL_CHUNK.  Otherwise, with
+    b = ceil((2 N p^2 / 3)^(1/3)) and no block over sqrt(_KERNEL_CHUNK)
+    values, each block ends at the widest spacing between b/2 and 3b/2
+    values after its start: a critical spectrum is Cantor-like, so cuts at
+    its gaps leave far fewer block pairs near each other than cuts every b
+    values (Hackbusch, Hierarchical Matrices, 2015, ch. 5).  Cuts every b
+    values are kept where they build fewer kernel entries (_admissible),
+    as on a spectrum without gaps.
+    """
+    n = x.size
+    if n * n <= _KERNEL_CHUNK:
+        return np.array([0, n]), np.zeros((1, 1), dtype=bool)
+    cap = math.isqrt(_KERNEL_CHUNK)
+    size = min(cap, int(math.ceil(
+        (2.0 * n * _CHEB_ORDER ** 2 / 3.0) ** (1.0 / 3.0))))
+    lo, hi = size // 2, min(cap, 3 * size // 2)
+    spacing = np.diff(x)  # spacing[k] = x[k + 1] - x[k]
+    cuts = [0]
+    while cuts[-1] < n:
+        s = cuts[-1]
+        cuts.append(n if n - s <= hi else
+                    s + lo + int(np.argmax(spacing[s + lo - 1:s + hi])))
+    fixed, gaps = np.append(np.arange(0, n, size), n), np.array(cuts)
+    (far, entries), (far_g, entries_g) = (_admissible(x, fixed),
+                                          _admissible(x, gaps))
+    return (gaps, far_g) if entries_g < entries else (fixed, far)
+
+
 def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
                   time_scale: float) -> np.ndarray:
     """c^T L c for each real column c of coeffs (shape (N,) or (N, m)),
     L_kk' = L(lam_k - lam_k'), L(x) = a^2/(x^2 + a^2), a = 2/T: an array
     of m values.  Every matrix product goes through _dot.
 
-    Fast sum: the sorted eigenvalues are cut into blocks of
-    b = ceil((2 N p^2 / 3)^(1/3)) consecutive values, or into one block when
-    the whole N x N kernel fits in _KERNEL_CHUNK entries.  Two blocks whose
-    gap is at least the larger of their widths are admissible: each sees
-    the poles of L(x - y) at x - y = +-ia outside the Bernstein ellipse
-    rho = 3 + sqrt(8) of the other's interval, so interpolating L at p = 20
-    Chebyshev nodes per block errs by about rho^-p ~ 5e-16 relative to the
-    kernel there.  Admissible pairs are summed through the kernel on the
-    nodes and the blocks' Chebyshev moments, the others directly, one b x b
-    kernel and one matrix product over all columns at a time (b^2 stays
-    within _KERNEL_CHUNK up to N = 5e5); with one block this is the direct
-    sum.  Positions inside a block are measured from its first eigenvalue,
-    so kernel arguments are built from exact differences of eigenvalues and
+    Fast sum: the sorted eigenvalues are cut into blocks of about
+    b = ceil((2 N p^2 / 3)^(1/3)) values that end at the spectrum's widest
+    gaps, or every b values where that builds fewer kernel entries
+    (_blocks); one block when the N x N kernel fits in _KERNEL_CHUNK.  Two
+    blocks whose gap is at least the larger of their widths are admissible:
+    each sees the poles of L(x - y) at x - y = +-ia outside the Bernstein
+    ellipse rho = 3 + sqrt(8) of the other's interval, so interpolating L at
+    p = 20 Chebyshev nodes per block errs by about rho^-p ~ 5e-16 relative
+    to the kernel there.  Admissible pairs are summed through the kernel on
+    the nodes and the blocks' Chebyshev moments, the others directly, one
+    near kernel (at most _KERNEL_CHUNK entries) and one matrix product over
+    all columns at a time; with one block this is the direct sum.
+    Positions inside a block are measured from its first eigenvalue, so
+    kernel arguments are built from exact differences of eigenvalues and
     small offsets, never from node positions rounded to ulp(lambda), which
     is not small against a at large T (a = 2e-7 at T = 1e7).  The error
     stays near 1e-15 of |c|^T L |c| per column (tests/test_transport.py
@@ -233,15 +285,11 @@ def _lorentz_form(lams: np.ndarray, coeffs: np.ndarray,
     if np.any(x[1:] < x[:-1]):
         order = np.argsort(x, kind="stable")
         x, c = x[order], c[order]
-    size = n if n * n <= _KERNEL_CHUNK else \
-        int(math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0)))
-    starts = np.arange(0, n, size)
-    ends = np.minimum(starts + size, n)
+    bounds, far = _blocks(x)
+    starts, ends = bounds[:-1], bounds[1:]
     nblk = starts.size
     start = x[starts]
     width = x[ends - 1] - start
-    gap = start[None, :] - x[ends - 1, None]  # from block i up to block j > i
-    far = np.triu(gap >= np.maximum.outer(width, width), 1)
 
     # near pairs directly, i < j counted twice through the kernel's scale;
     # the same pass takes each block's Chebyshev moments

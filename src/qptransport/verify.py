@@ -217,7 +217,7 @@ def _sandwich(case):
     for kap in case.kappas_open:
         slopes = np.abs(case.slopes(kap)[0])
         for j in range(1, case.q + 1):
-            low, up = derivative_sandwich(case.model, kap, j,
+            low, up = derivative_sandwich(case.model, kap,
                                           width=case.bands.band(j).width)
             fd = slopes[j - 1]
             m = min(fd - low * (1.0 - 1e-6) + 1e-12,

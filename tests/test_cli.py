@@ -13,6 +13,14 @@ from qptransport import cli, transport
 from qptransport.cli import main, parse_axis, parse_freq_spec, to_jsonable
 
 
+def error_manifest(out):
+    """The error a failed run recorded in out's manifest, its one file."""
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    return manifest["error"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -160,7 +168,21 @@ class TestExitCodes:
         assert main([*argv, "--freq", "8/13", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "MemoryLimitError" in err and "physical memory" in err
-        assert not any(out.glob("*.csv")) and not any(out.glob("*.json"))
+        assert error_manifest(out)["type"] == "MemoryLimitError"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["moments", "--time-scale", "50", "--radius", "20"],
+         "TruncationError"),
+        (["transport", "--time-scale", "1e9"], "MemoryLimitError"),
+    ], ids=["truncation", "memory"])
+    def test_failed_run_leaves_its_manifest(self, tmp_path, capsys, argv,
+                                            error):
+        out = tmp_path / "run"
+        assert main([*argv, "--freq", "2/5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        recorded = error_manifest(out)
+        assert recorded["type"] == error
+        assert f"{error}: {recorded['message']}" in err
 
     def test_memory_estimate_beyond_the_float_range_exits_one(
             self, tmp_path, capsys, monkeypatch):
@@ -862,7 +884,7 @@ class TestSweep:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "MemoryLimitError" in err and "sweep of 10000 points" in err
-        assert not (out / "sweep.csv").exists()
+        assert error_manifest(out)["type"] == "MemoryLimitError"
 
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", "--command", "moments", "--freq", "2/5",

@@ -303,7 +303,7 @@ def test_sandwich_brackets_true_derivative():
     for j in range(1, q + 1):
         width = bs.bands[j - 1].width
         for kappa in np.linspace(lo_k, hi_k, 9):
-            lower, upper = derivative_sandwich(m, kappa, j, width=width)
+            lower, upper = derivative_sandwich(m, kappa, width=width)
             deriv = abs(eigenvalue_derivative(m, kappa, j))
             assert lower <= deriv * (1 + 1e-9)
             assert deriv <= upper * (1 + 1e-9)

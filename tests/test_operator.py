@@ -112,6 +112,7 @@ def test_finite_operator_zero_potential_eigenvalues():
     lambda: FiniteOperator([0.0, math.inf, 0.0], 1),
 ], ids=["amo-nan", "amo-inf", "table-nan", "chain-phase", "periodic-phase",
         "periodic-overflow", "periodic-potential", "finite-diagonal"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_inputs_are_input_errors(build):
     # each once reached an eigensolver that raised ValueError or LinAlgError,
     # or gave NaN bands

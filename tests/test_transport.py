@@ -158,11 +158,13 @@ def floquet_oracle(model, displacement, time_scale, route,
 @st.composite
 def lorentz_inputs(draw):
     """Eigenvalue sets the Floquet and time routes produce, and harder:
-    clustered narrow bands, exact pairs lambda(kappa) = lambda(-kappa), all
-    values equal (blocks of zero width), sizes around one block and around
-    the switch to one block at N = 512, and up to 64 columns (more columns
-    than eigenvalues for small N)."""
-    kind = draw(st.sampled_from(["bands", "ties", "equal", "spread"]))
+    critical (Cantor-like) spectra, clustered narrow bands, exact pairs
+    lambda(kappa) = lambda(-kappa), all values equal (blocks of zero
+    width), sizes around one block and around the switch to one block at
+    N = 512, and up to 64 columns (more columns than eigenvalues for small
+    N)."""
+    kind = draw(st.sampled_from(["bands", "ties", "equal", "spread",
+                                 "critical"]))
     n = draw(st.one_of(st.integers(1, 40), st.integers(480, 560),
                        st.integers(1, 3000)))
     time_scale = 10.0 ** draw(st.floats(0.0, 7.0))
@@ -176,6 +178,10 @@ def lorentz_inputs(draw):
     elif kind == "ties":
         half = rng.uniform(-2.0, 2.0, n // 2 + 1)
         lams = rng.permutation(np.concatenate([half, half])[:n])
+    elif kind == "critical":  # a critical AMO chain's eigenvalues
+        chain = Chain(AmoSampling(1.0), GOLDEN, rng.uniform())
+        lams = scipy.linalg.eigvalsh_tridiagonal(chain.potential(1, n),
+                                                 np.ones(n - 1))
     elif kind == "equal":
         lams = np.full(n, rng.uniform(-3.0, 3.0))
     else:
@@ -241,20 +247,58 @@ def test_dot_matches_numpy_matmul(operands):
     assert np.all(np.abs(got - a @ b) <= 1e-15 * (np.abs(a) @ np.abs(b)))
 
 
-def block_rule_products(lams, columns):
-    """The operand shapes of every matrix product _lorentz_form makes, from
-    the block rule of its docstring: blocks of b consecutive sorted values,
-    near pairs (gap below the larger width) summed directly, and for more
-    than one block each block's two Chebyshev-moment products and one
-    far-field product per chunk of block rows."""
+def block_rule(lams):
+    """The blocks of sorted lams _lorentz_form cuts, by the rule of its
+    docstring: one block while N^2 fits in _KERNEL_CHUNK; otherwise blocks
+    ending at the widest spacing b/2 to 3b/2 values after their start, or
+    every b values where that builds no more kernel entries, no block over
+    sqrt(_KERNEL_CHUNK) values."""
+    return min(block_cuts(lams), key=kernel_entries)
+
+
+def block_cuts(lams):
+    """The two cuts block_rule chooses from, every b values first (one
+    cut, one block, while N^2 fits in _KERNEL_CHUNK)."""
     x = np.sort(lams)
     n, p = x.size, tr._CHEB_ORDER
-    size = n if n * n <= tr._KERNEL_CHUNK else \
-        math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0))
-    blocks = [x[lo:lo + size] for lo in range(0, n, size)]
+    if n * n <= tr._KERNEL_CHUNK:
+        return [[x]]
+    cap = math.isqrt(tr._KERNEL_CHUNK)
+    size = min(cap, math.ceil((2.0 * n * p * p / 3.0) ** (1.0 / 3.0)))
+    longest = min(cap, 3 * size // 2)
+    gaps, lo = [], 0
+    while lo < n:
+        hi = n if n - lo <= longest else max(
+            range(lo + size // 2, lo + longest + 1),
+            key=lambda end: x[end] - x[end - 1])
+        gaps.append(x[lo:hi])
+        lo = hi
+    return [[x[lo:lo + size] for lo in range(0, n, size)], gaps]
+
+
+def near(u, v):
+    """Whether two blocks in ascending order are summed directly: the gap
+    between them is below the larger width (a block is near itself)."""
+    return v is u or v[0] - u[-1] < max(np.ptp(u), np.ptp(v))
+
+
+def kernel_entries(blocks):
+    """The kernel entries the block rule counts for a cut: near pairs
+    i <= j, b_i b_j each, and half of the (blocks p)^2 on the nodes."""
+    return sum(u.size * v.size for i, u in enumerate(blocks)
+               for v in blocks[i:] if near(u, v)) \
+        + 0.5 * (len(blocks) * tr._CHEB_ORDER) ** 2
+
+
+def block_rule_products(lams, columns):
+    """The operand shapes of every matrix product _lorentz_form makes, from
+    the block rule of its docstring: near pairs summed directly, and for
+    more than one block each block's two Chebyshev-moment products and one
+    far-field product per chunk of block rows."""
+    p = tr._CHEB_ORDER
+    blocks = block_rule(lams)
     shapes = [((u.size, v.size), (v.size, columns))
-              for i, u in enumerate(blocks) for v in blocks[i:]
-              if v is u or v[0] - u[-1] < max(np.ptp(u), np.ptp(v))]
+              for i, u in enumerate(blocks) for v in blocks[i:] if near(u, v)]
     if len(blocks) == 1:
         return shapes
     for u in blocks:
@@ -265,6 +309,33 @@ def block_rule_products(lams, columns):
         rest = (len(blocks) - 1 - i0) * p
         shapes.append((((i1 - i0) * p, rest), (rest, columns)))
     return shapes
+
+
+@pytest.mark.parametrize("chain, ratio", [
+    (Chain(AmoSampling(1.0), GOLDEN, 0.0), 0.55), (FREE_CHAIN, None)],
+    ids=["critical", "free"])
+def test_gap_cut_builds_fewer_kernel_entries(chain, ratio, monkeypatch):
+    # T = 100, dimension 3,663: cuts every b = 100 values leave 1.56 M near
+    # entries on the critical spectrum, whose blocks straddle its gaps
+    radius = tr.truncation_radius(100.0)
+    lams = scipy.linalg.eigvalsh_tridiagonal(
+        chain.potential(-radius, radius), np.ones(2 * radius))
+    built = []
+    kernel = tr._kernel
+
+    def spy(rows, cols, scale, a2):
+        built.append((rows.size * cols.size, scale))
+        return kernel(rows, cols, scale, a2)
+    monkeypatch.setattr(tr, "_kernel", spy)
+    tr._lorentz_form(lams, np.ones(lams.size), 100.0)
+    blocks = sum(scale == 1.0 for _, scale in built)  # one diagonal each
+    entries = sum(size for size, _ in built) \
+        + 0.5 * (blocks * tr._CHEB_ORDER) ** 2
+    fixed = kernel_entries(block_cuts(lams)[0])
+    if ratio is None:  # a spectrum without gaps keeps the fixed cut
+        assert entries == fixed
+    else:
+        assert entries <= ratio * fixed
 
 
 def product_spy(shapes, dot):
