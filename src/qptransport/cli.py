@@ -607,19 +607,23 @@ def _run_sweep(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # the parameter table: each subcommand's flags, INI keys, defaults and checks
 
-def _float_between(low: float, high: float) -> Callable:
+def _float_between(low: float, high: float, low_ok: bool = False
+                   ) -> Callable:
     """The cast of a float parameter whose library limits are the open
-    interval (low, high): NaN and the infinities are refused."""
+    interval (low, high), or [low, high) with low_ok: NaN and the
+    infinities are refused."""
     def cast(text: str) -> float:
         value = float(text)
-        if not low < value < high:
-            raise ValueError(f"{value} is outside ({low:g}, {high:g})")
+        if not (low < value < high or low_ok and value == low):
+            raise ValueError(f"{value} is outside {'[' if low_ok else '('}"
+                             f"{low:g}, {high:g})")
         return value
     return cast
 
 
 _finite = _float_between(-math.inf, math.inf)
 _positive = _float_between(0.0, math.inf)
+_nonnegative = _float_between(0.0, math.inf, low_ok=True)
 
 
 def _csv_of(cast: Callable, least: int = 0) -> Callable:
@@ -635,14 +639,6 @@ def _csv_of(cast: Callable, least: int = 0) -> Callable:
 
 #: moment orders: one or more (the library checks each one's value)
 _orders = _csv_of(float, 1)
-
-
-def _moment_orders(text: str):
-    """theorem_demo's orders: one or more finite nonnegative integers."""
-    orders = _orders(text)
-    if not all(p >= 0 and p.is_integer() for p in orders):
-        raise ValueError(f"need nonnegative integer orders, got {orders}")
-    return orders
 
 
 def _int_at_least(low: int) -> Callable:
@@ -766,8 +762,8 @@ COMMANDS = {
         (*SAMPLING, Param("delta", _float_between(0.0, 0.5), "0.45"),
          Param("depth_budget", _int_at_least(2), "3"),
          Param("theta_grid", _positive_int, "64"),
-         Param("p_list", _moment_orders, "1,2",
-               "comma-separated moment orders (nonnegative integers)"),
+         Param("p_list", _csv_of(_nonnegative, 1),
+               "1,2", "comma-separated moment orders (finite, >= 0)"),
          Param("beta_target", _positive, "2.0"),
          Param("max_radius", int, "2500"))),
     "sweep": Command(

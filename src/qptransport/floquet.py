@@ -45,16 +45,19 @@ def floquet_matrix(model: PeriodicModel, kappa: float) -> np.ndarray:
 
     Corner entries are e^{i q kappa} (top right) and its conjugate (bottom
     left); for q = 2 they add onto the hopping entries, for q = 1 the matrix
-    is the scalar V(0) + 2 cos(kappa).
+    is the scalar V(0) + 2 cos(kappa).  The three diagonals are written as
+    strided slices of the flat matrix, the cheap form for the one call per
+    kappa that the Floquet route makes.
     """
     q = model.q
     if q == 1:
         return np.array([[model.potential[0] + 2.0 * math.cos(kappa)]],
                         dtype=complex)
-    a = np.diag(model.potential.astype(complex))
-    idx = np.arange(q - 1)
-    a[idx, idx + 1] += 1.0
-    a[idx + 1, idx] += 1.0
+    a = np.zeros((q, q), dtype=complex)
+    entries = a.reshape(-1)  # a view: entry (n, m) at n q + m
+    entries[::q + 1] = model.potential
+    entries[1::q + 1] = 1.0
+    entries[q::q + 1] = 1.0
     phase = cmath.exp(1j * q * kappa)
     a[0, q - 1] += phase
     a[q - 1, 0] += phase.conjugate()

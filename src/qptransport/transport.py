@@ -543,6 +543,9 @@ def _bloch_data(model: PeriodicModel, points: int, displacements):
     need, slot = np.unique(np.concatenate([src, (disp[:, None] + (0, 1)) % q],
                                           axis=None), return_inverse=True)
     src_slot, row_slot = slot[:2], slot[2:].reshape(-1, 2)
+    # the eigenvalues and kept rows, and one displacement's coefficients
+    check_memory(points * q * (8 + 16 * need.size + 64),
+                 f"the Floquet route on {points} kappa points at q = {q}")
     lams = np.empty((points, q))
     vecs = np.empty((points, q, need.size), dtype=complex)  # kappa, j, row
     for m, kap in enumerate(kappas):

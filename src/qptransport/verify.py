@@ -988,10 +988,13 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
         raise InputError(f"theta_grid must be >= 1, got {theta_grid}")
     if depth_budget < 2:
         raise InputError(f"depth budget must be >= 2, got {depth_budget}")
-    if not p_list or not all(float(p) >= 0 and float(p).is_integer()
-                             for p in p_list):
-        raise InputError(f"need nonnegative integer orders, got {p_list}")
-    p_list = tuple(int(p) for p in p_list)
+    if not p_list or len(set(p_list)) < len(p_list) or not all(
+            0.0 <= float(p) < math.inf for p in p_list):
+        raise InputError(f"need one or more distinct finite orders >= 0, got "
+                         f"{p_list}")
+    # integer orders stay ints: their report keys read "1", not "1.0"
+    p_list = tuple(int(p) if float(p).is_integer() else float(p)
+                   for p in p_list)
 
     def build(beta):
         try:

@@ -405,16 +405,34 @@ class TestMeasureCommand:
 
 
 class TestTheoremDemoCommand:
-    @pytest.mark.parametrize("value", ["1.5", "nan", "-1", "1,inf", ""])
+    @pytest.mark.parametrize("value", ["1,-0.5", "nan", "-1", "1,inf", ""])
     def test_order_that_is_not_a_nonnegative_integer_is_usage_error(
             self, tmp_path, capsys, monkeypatch, value):
-        # refused by the cast, before the output directory or any stage
+        # refused by the cast, before the output directory or any stage;
+        # finite real orders >= 0 are accepted (test_real_orders_run)
         monkeypatch.setattr(cli, "theorem_demo", None)
         out = tmp_path / "run"
         assert main(["theorem-demo", f"--p-list={value}",
                      "--out", str(out)]) == 2
         assert "p_list = " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_real_orders_run(self, tmp_path, capsys):
+        # integer orders keep their "1" keys and "min_p1" headers, and a
+        # real order runs under its own key
+        for p_list, keys in (("1,2", ["1", "2"]), ("0.5,1", ["0.5", "1"])):
+            out = tmp_path / p_list
+            assert main(["theorem-demo", "--depth-budget", "2",
+                         "--theta-grid", "2", "--max-radius", "200",
+                         f"--p-list={p_list}", "--out", str(out)]) == 0
+            rep = json.loads((out / "theorem_demo.json").read_text())
+            assert rep["config_snapshot"]["p_list"] == \
+                json.loads(f"[{p_list}]")
+            (point,) = rep["points"]
+            assert sorted(point["min_moments"]) == keys
+            header = (out / "theorem_points.csv").read_text().split("\n")[0]
+            assert header.endswith(",".join(
+                f"min_p{p},ratio_plain_p{p},ratio_log_p{p}" for p in keys))
 
     def test_vacuous_eta_counts_its_bandless_phases(self, tmp_path, capsys):
         # no band meets e0 +- epsilon at 4 of the 16 q = 2 phases and 13 of

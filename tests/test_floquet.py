@@ -5,6 +5,7 @@ Determinant-identity expectations use numpy's det as the independent oracle;
 free-Laplacian eigenvalues use the closed form 2 cos(kappa + 2 pi k / q).
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -76,6 +77,37 @@ def test_matrix_q1_scalar():
     a = floquet_matrix(m, 0.4)
     assert a.shape == (1, 1)
     assert a[0, 0] == pytest.approx(0.7 + 2 * math.cos(0.4))
+
+
+def hand_fiber_matrix(model, kappa):
+    """The fiber matrix entry by entry, with cmath's corner phase."""
+    q = model.q
+    if q == 1:
+        return np.array([[model.potential[0] + 2.0 * math.cos(kappa)]],
+                        dtype=complex)
+    a = np.zeros((q, q), dtype=complex)
+    for n in range(q):
+        a[n, n] = model.potential[n]
+    for n in range(q - 1):
+        a[n, n + 1] += 1.0
+        a[n + 1, n] += 1.0
+    phase = cmath.exp(1j * q * kappa)
+    a[0, q - 1] += phase
+    a[q - 1, 0] += phase.conjugate()
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_fiber_matrix_is_the_hand_built_matrix(q, seed, count):
+    # the strided builder on random and on Floquet-grid kappas, bit for bit
+    rng = np.random.default_rng(seed)
+    model = random_model(q, rng=rng)
+    for kappas in (rng.uniform(-1.0, 4.0, count),
+                   np.arange(count) * (2.0 * math.pi / q) / count):
+        for kappa in kappas:
+            assert np.array_equal(floquet_matrix(model, kappa),
+                                  hand_fiber_matrix(model, kappa))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])

@@ -155,6 +155,26 @@ def floquet_oracle(model, displacement, time_scale, route,
     raise AssertionError("the oracle grid did not converge")
 
 
+@given(st.integers(1, 13), st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_bloch_data_matches_per_kappa_solves(q, seed, points, disp):
+    # grids of any size and windows of any shape: eigenvalues are the
+    # per-kappa solves' bit for bit, and the coefficients bloch_oracle's up
+    # to their products' rounding
+    model = PeriodicModel.from_potential(
+        np.random.default_rng(seed).uniform(-2.0, 2.0, q))
+    lams, coefficients = tr._bloch_data(model, points, disp)
+    kappas = np.arange(points) * (2.0 * math.pi / q) / points
+    assert np.array_equal(lams, [floquet_eigensystem(model, k)[0]
+                                 for k in kappas])
+    coeffs = coefficients(slice(None))
+    for k, d in enumerate(disp):
+        want = bloch_oracle(model, points, d)[1]
+        np.testing.assert_allclose(coeffs[:, k].T.reshape(want.shape),
+                                   want, rtol=0, atol=1e-15 / points)
+
+
 @st.composite
 def lorentz_inputs(draw):
     """Eigenvalue sets the Floquet and time routes produce, and harder:
@@ -1008,6 +1028,32 @@ class TestFloquetWindow:
         calls = self.grids_of(monkeypatch)
         tr.abel_probability_floquet(self.MODEL, [0, 24, 39], 300.0)
         assert len(solves) == sum(points for points, _ in calls)
+
+    def test_doubling_values_equal_their_final_grid_bit_for_bit(
+            self, monkeypatch):
+        # a doubling call's value is its final grid's, bit for bit
+        calls = self.grids_of(monkeypatch)
+        for d, final in ((0, 512), (21, 512), (24, 1024), (39, 1024)):
+            calls.clear()
+            got = tr.abel_probability_floquet(self.MODEL, d, 300.0)
+            assert calls[-1][0] == final
+            assert got == tr.abel_probability_floquet(
+                self.MODEL, d, 300.0, kappa_points=final)
+
+    def test_grid_beyond_physical_memory_is_refused_before_any_solve(
+            self, monkeypatch):
+        # q = 4,000 and a 4,000-point window keep every residue's row:
+        # 256 x 4,000 x 4,000 complex entries (61 GiB) on the first grid
+        sysconf = os.sysconf
+        pages = (32 << 30) // sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if
+                            name == "SC_PHYS_PAGES" else sysconf(name))
+        monkeypatch.setattr(tr, "floquet_eigensystem", None)
+        model = PeriodicModel.from_potential(np.zeros(4000))
+        for kappa_points in (None, 256):
+            with pytest.raises(MemoryLimitError, match="256 kappa points"):
+                tr.abel_probability_floquet(model, np.arange(4000), 300.0,
+                                            kappa_points=kappa_points)
 
     def test_columns_split_into_chunks(self, monkeypatch):
         # 1,000 entries hold one displacement's four columns at q = 3 and

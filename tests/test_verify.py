@@ -576,12 +576,12 @@ class TestTheoremDemo:
         with pytest.raises(InputError):
             vf.theorem_demo(ZeroSampling(), 0.0)
 
-    @pytest.mark.parametrize("p_list", [(1, 1.5), (1, math.nan), (1, -1),
-                                        (1, math.inf), ()])
+    @pytest.mark.parametrize("p_list", [(1, -0.5), (1, math.nan), (1, -1),
+                                        (1, math.inf), (), (2, 1.0, 2)])
     def test_order_validation_comes_before_every_stage(self, monkeypatch,
                                                        p_list):
         monkeypatch.setattr(vf, "construct_liouville_frequency", None)
-        with pytest.raises(InputError, match="nonnegative integer orders"):
+        with pytest.raises(InputError, match="finite orders >= 0"):
             vf.theorem_demo(ZeroSampling(), 0.45, p_list=p_list)
 
     def test_report_metadata(self):
