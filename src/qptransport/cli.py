@@ -230,19 +230,10 @@ def parse_axis(text: str, name: str, integer: bool = False):
             return [i / n for i in range(n)]
         vals = np.linspace(*ends, n)
         return [int(v) for v in vals] if integer else [float(v) for v in vals]
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(int(part) if integer else _finite(part))
-        except ValueError:
-            raise UsageError(f"axis {name}: cannot parse {part!r} as a "
-                             "finite value") from None
-    if not out:
-        raise UsageError(f"axis {name} is empty")
-    return out
+    try:
+        return _csv_of(int if integer else _finite, 1)(text)
+    except ValueError as exc:
+        raise UsageError(f"axis {name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +424,18 @@ def _run_verify(cfg: dict, out: Path):
 
 def _run_theorem_demo(cfg: dict, out: Path):
     f = build_sampling(cfg)
-    p_list = tuple(cfg["p_list"])
     rep = theorem_demo(f, cfg["delta"], depth_budget=cfg["depth_budget"],
-                       p_list=p_list,
+                       p_list=tuple(cfg["p_list"]),
                        theta_grid=cfg["theta_grid"],
                        beta_target=cfg["beta_target"],
                        max_radius=cfg["max_radius"])
     write_json(out / "theorem_demo.json", rep)
+    # the report's orders, named by their JSON keys' text: integer orders
+    # read "1", and distinct orders get distinct columns
+    p_list = rep.config_snapshot["p_list"]
     header = ["k", "q", "time_scale", "feasible", "note"]
     for p in p_list:
-        header += [f"min_p{p:g}", f"ratio_plain_p{p:g}", f"ratio_log_p{p:g}"]
+        header += [f"min_p{p}", f"ratio_plain_p{p}", f"ratio_log_p{p}"]
     rows = []
     for pt in rep.points:
         row = [pt.k, pt.q, pt.time_scale, pt.feasible, pt.note or ""]

@@ -111,15 +111,18 @@ def discriminant(model: PeriodicModel, energy):
     # a = E - V(n) over (sites of one period, *energies, 1)
     a = np.moveaxis(e[..., None] - model.potential, -1, 0)[..., None]
     x, y, log_scale = cocycle(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    delta = ((-1) ** model.q) * (np.exp(log_scale) * (x[..., 0] + y[..., 1]))
+    delta = ((-1) ** model.q) * np.ldexp(x[..., 0] + y[..., 1], log_scale)
     return float(delta) if e.ndim == 0 else delta
 
 
-def discriminant_derivative(model: PeriodicModel, energy: float) -> float:
-    """Central-difference d Delta / dE with h = eps^(1/3) * max(1, |E|)."""
-    h = _EPS_CUBE_ROOT * max(1.0, abs(energy))
-    return (discriminant(model, energy + h)
-            - discriminant(model, energy - h)) / (2.0 * h)
+def discriminant_derivative(model: PeriodicModel, energy):
+    """Central-difference d Delta / dE with h = eps^(1/3) * max(1, |E|),
+    at a scalar energy (a float back) or an array of energies."""
+    e = np.asarray(energy, dtype=float)
+    h = _EPS_CUBE_ROOT * np.maximum(1.0, np.abs(e))
+    up, down = discriminant(model, np.stack([e + h, e - h]))
+    d = (up - down) / (2.0 * h)
+    return float(d) if e.ndim == 0 else d
 
 
 @dataclass(frozen=True)

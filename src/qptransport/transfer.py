@@ -3,10 +3,11 @@ rational-approximation diagnostics built on them.
 
 One-step matrices are T(n) = [[E - V(n), -1], [1, 0]] (det = 1), so
 Phi_{[0,n]} = T(n)...T(0) maps (psi(0), psi(-1)) to (psi(n+1), psi(n)).
-Long products are kept representable by a cadence-32 norm renormalization
-with an accumulated log factor; the determinant is tracked separately via
-a per-step Givens-QR factor stream, whose per-step 2x2 factorizations stay
-well conditioned even when the product itself is hyperbolic.
+Long products are kept representable by a cadence-32 renormalization by
+exact powers of two with an accumulated base-2 exponent; the determinant
+is tracked separately via a per-step Givens-QR factor stream, whose
+per-step 2x2 factorizations stay well conditioned even when the product
+itself is hyperbolic.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _RENORM_BUDGET = 0.5 * math.log(_OVERFLOW_GUARD)
 # E - V(n) entries per Lyapunov block of (steps, phases, energies)
 _BLOCK_ENTRIES = 1 << 17
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,6 @@ class TransferProduct:
     det_sign: int
 
     @property
-    def length(self) -> int:
-        return self.n_hi - self.n_lo + 1
-
-    @property
-    def log_norm(self) -> float:
-        """log of the spectral norm of the true product."""
-        return self.log_scale + math.log(np.linalg.norm(self.matrix_scaled, 2))
-
-    @property
     def matrix(self) -> np.ndarray:
         """The true product, when representable in double precision."""
         if self.log_scale > 700.0:
@@ -67,15 +60,18 @@ class TransferProduct:
         return math.exp(self.log_scale) * self.matrix_scaled
 
 
-def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0.0,
+def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0,
                   renormalize: bool = True):
     """Yield (x, y, log_scale) after each step (x, y) -> (a x - y, x), or
     with inverse (x, y) -> (y, a y - x), over axis 0 of a = E - V(n).
 
     Rows of ``a`` broadcast against the states, whose last axis groups
     columns that share one scale.  Every RENORM_CADENCE steps (sooner for
-    large |a|) each group is divided by its Frobenius norm, whose log adds
-    to log_scale: the true states are exp(log_scale) * (x, y).
+    large |a|) each group is divided by 2^k, the power of two just above
+    its Frobenius norm, and k adds to the integer log_scale: the true
+    states are 2^log_scale * (x, y).  Dividing by a power of two moves no
+    mantissa, so where the renormalizations fall leaves the states' values
+    unchanged, and a batch equals its single calls bit for bit.
     renormalize=False keeps the plain recurrence's values and raises
     NumericalError once the newest |psi| passes _OVERFLOW_GUARD.
     """
@@ -103,13 +99,14 @@ def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0.0,
             fro = np.sqrt(np.sum(x * x + y * y, axis=-1, keepdims=True))
             if not np.all(np.isfinite(fro) & (fro > 0.0)):
                 raise NumericalError(f"transfer norm not finite at step {n + 1}")
-            x, y = x / fro, y / fro
-            log_scale = log_scale + np.log(fro[..., 0])
+            shift = np.frexp(fro)[1]
+            x, y = np.ldexp(x, -shift), np.ldexp(y, -shift)
+            log_scale = log_scale + shift[..., 0]
             budget = 0.0
         yield x, y, log_scale
 
 
-def cocycle(a, x, y, log_scale=0.0):
+def cocycle(a, x, y, log_scale=0):
     """The last state of the forward cocycle_orbit (the start state if a is
     empty)."""
     state = (x, y, log_scale)
@@ -160,7 +157,7 @@ def transfer_product(source, energy: float, n_lo: int, n_hi: int
     det_log, det_sign = _det_stream(a)
     return TransferProduct(
         energy=energy, n_lo=n_lo, n_hi=n_hi,
-        matrix_scaled=np.array([x, y]), log_scale=float(log_scale),
+        matrix_scaled=np.array([x, y]), log_scale=float(log_scale) * _LN2,
         det_log=det_log, det_sign=det_sign)
 
 
@@ -194,7 +191,7 @@ def lyapunov_exponent(f: SamplingFunction, alpha, energy,
     (golden rotation by default, seeded i.i.d. draws as fallback).  An
     energy array gives array fields (per_theta (energies, phases)) from one
     cocycle over the shared grid; each energy's values equal its own call's
-    unless some |E - V| makes the cocycle renormalize between cadences.
+    bit for bit.
     """
     if n_steps < 1:
         raise InputError(f"n_steps must be >= 1, got {n_steps}")
@@ -209,15 +206,19 @@ def lyapunov_exponent(f: SamplingFunction, alpha, energy,
     for lo in range(0, energies.size, chunk):
         e = energies.reshape(-1)[lo:lo + chunk]
         steps = RENORM_CADENCE * max(1, chunk // e.size)
-        x, y, log_scale = 1.0, 0.0, 0.0  # e1, broadcast by cocycle
+        x, y, log_scale = 1.0, 0.0, 0  # e1, broadcast by cocycle
         # a = E - V(n) over (steps, phases, energies), a block at a time
         for start in range(0, n_steps, steps):
             n = np.arange(start, min(start + steps, n_steps))[:, None]
             v = np.asarray(f((thetas + n * float(alpha)) % 1.0), dtype=float)
             x, y, log_scale = cocycle((e - v[..., None])[..., None], x, y,
                                       log_scale=log_scale)
-        norm_sq = np.maximum(x[..., 0] ** 2 + y[..., 0] ** 2, 1e-300)
-        per_theta[lo:lo + chunk] = ((log_scale + 0.5 * np.log(norm_sq))
+        # the state's own exponent joins log_scale before the one log,
+        # so the value does not depend on how the two share it
+        mantissa, exponent = np.frexp(
+            np.maximum(x[..., 0] ** 2 + y[..., 0] ** 2, 1e-300))
+        per_theta[lo:lo + chunk] = ((0.5 * np.log(mantissa)
+                                     + (log_scale + 0.5 * exponent) * _LN2)
                                     / n_steps).T
     # each energy's row is contiguous, as a lone energy's per_theta is
     gamma_hat = np.array([np.mean(row) for row in per_theta])

@@ -24,7 +24,8 @@ from . import transport
 from .arithmetic import (Frequency, beta_estimate,
                          construct_liouville_frequency)
 from .errors import (DegeneratePointError, DepthLimitError, InputError,
-                     NearDegenerateError, NumericalError, ThresholdError)
+                     NearDegenerateError, NumericalError, ThresholdError,
+                     check_memory)
 from .floquet import (band_structure, derivative_sandwich, discriminant,
                       discriminant_derivative, eigenvalue_derivative,
                       fiber_eigensystems, floquet_eigensystem,
@@ -129,9 +130,9 @@ def _under(value, limit, rel: bool = True, strict: bool = True) -> dict:
 
 
 class _FloquetCase:
-    """One ensemble model, the draws its checks share, and the suite's
-    negative-control switch.  The rng stays live after the draws:
-    phi_bound's per-sample draws come before chebyshev's."""
+    """One ensemble model, every random input its checks read, and the
+    suite's negative-control switch.  All draws are made here, in one
+    order, so a check's rows do not depend on which other checks run."""
 
     def __init__(self, idx: int, model: PeriodicModel, seed: int,
                  samples: int, corrupt_corner: bool):
@@ -139,34 +140,41 @@ class _FloquetCase:
         self.model, self.q, self.bound = model, q, model.norm_bound
         self.corrupt_corner = corrupt_corner
         self.tags = {"model": idx, "q": q}
-        self.rng = rng = np.random.default_rng([seed, idx])
+        rng = np.random.default_rng([seed, idx])
         self.kappas_open = (rng.uniform(1e-3, 1.0 - 1e-3, samples)
                             * (math.pi / q)).tolist()
         self.kappas_mid = (rng.uniform(0.1, 0.9, samples)
                            * (math.pi / q)).tolist()
         self.energies = rng.uniform(-self.bound, self.bound, samples).tolist()
         self.band_picks = rng.integers(1, q + 1, samples).tolist()
+        win_lo, win_hi = interior_window(q)
+        self.kappas_interior = (win_lo + rng.uniform(0.0, 1.0, samples)
+                                * (win_hi - win_lo)).tolist()
+        self.chebyshev_band = int(rng.integers(1, q + 1))
 
     @functools.cached_property
     def bands(self):
         return band_structure(self.model)
 
-    def slopes(self, kap: float):
-        """Central differences of the eigenvalues and of the weights."""
+    def slopes(self, kappas):
+        """Central differences of the eigenvalues and of the weights, each
+        (K, q), from one stacked solve of the 2K shifted fibers."""
         h = 1e-5 * math.pi / self.q
-        lams, phis = fiber_eigensystems(self.model, [kap - h, kap + h])
-        return (lams[1] - lams[0]) / (2 * h), (phis[1] - phis[0]) / (2 * h)
+        k = np.asarray(kappas, dtype=float)
+        lams, phis = fiber_eigensystems(self.model,
+                                        np.concatenate([k - h, k + h]))
+        return ((lams[k.size:] - lams[:k.size]) / (2 * h),
+                (phis[k.size:] - phis[:k.size]) / (2 * h))
 
 
 def _determinant(case):
     q = case.q
-    for kap, e in zip(case.kappas_open, case.energies):
+    discs = discriminant(case.model, case.energies).tolist()
+    for kap, e, disc in zip(case.kappas_open, case.energies, discs):
         a = floquet_matrix(case.model, kap)
         if case.corrupt_corner:
-            a = a.copy()
             a[0, q - 1] *= np.exp(0.3j)
         lhs = np.linalg.det(a - e * np.eye(q))
-        disc = discriminant(case.model, e)
         target = disc + 2.0 * (-1.0) ** (q - 1) * math.cos(q * kap)
         diff = abs(lhs - target)
         tol = DET_TOL * max(1.0, abs(disc))
@@ -175,9 +183,10 @@ def _determinant(case):
 
 
 def _derivative(case):
-    for kap, j in zip(case.kappas_mid, case.band_picks):
-        lams, _ = floquet_eigensystem(case.model, kap)
-        gaps = np.diff(lams)
+    lams = fiber_eigensystems(case.model, case.kappas_mid)[0]
+    fds = case.slopes(case.kappas_mid)[0]
+    for kap, j, lam, fd in zip(case.kappas_mid, case.band_picks, lams, fds):
+        gaps = np.diff(lam)
         if gaps.size and float(np.min(gaps)) < 1e-6 * max(1.0, case.bound):
             yield None
             continue
@@ -186,52 +195,48 @@ def _derivative(case):
         except DegeneratePointError:
             yield None
             continue
-        fd = case.slopes(kap)[0][j - 1]
+        fd = float(fd[j - 1])
         if abs(fd) < 1e-9:
             yield None
             continue
         rel = abs(ident - fd) / max(abs(fd), abs(ident))
         yield {"kappa": kap, "band": j, "identity": ident,
-               "finite_difference": float(fd), "rel_error": rel,
+               "finite_difference": fd, "rel_error": rel,
                **_under(rel, DERIV_REL_TOL)}
 
 
 def _last(case):
     model, q = case.model, case.q
-    for kap in case.kappas_open:
-        lams, _ = floquet_eigensystem(model, kap)
-        for j in range(1, q + 1):
-            band = case.bands.band(j)
-            lam = float(lams[j - 1])
-            dprime = discriminant_derivative(model, lam)
-            mid = band.width * abs(dprime)
-            lhs = (1.0 + math.sqrt(5.0)) * (1.0 - abs(math.cos(q * kap)))
-            rhs = math.e * abs(discriminant(model, band.lo)
-                               - discriminant(model, band.hi))
+    lams = fiber_eigensystems(model, case.kappas_open)[0]
+    dprimes = discriminant_derivative(model, lams).tolist()
+    bands = case.bands.bands
+    edges = discriminant(model, [(band.lo, band.hi) for band in bands])
+    uppers = (math.e * np.abs(edges[:, 0] - edges[:, 1])).tolist()
+    for kap, dprime in zip(case.kappas_open, dprimes):
+        lhs = (1.0 + math.sqrt(5.0)) * (1.0 - abs(math.cos(q * kap)))
+        for band, d, rhs in zip(bands, dprime, uppers):
+            mid = band.width * abs(d)
             m = min(mid - lhs, rhs - mid, 4.0 * math.e + 1e-6 - mid)
-            yield {"kappa": kap, "band": j, "lower": lhs, "middle": mid,
+            yield {"kappa": kap, "band": band.j, "lower": lhs, "middle": mid,
                    "upper": rhs, "margin": m, "ok": m >= -1e-9}
 
 
 def _sandwich(case):
-    for kap in case.kappas_open:
-        slopes = np.abs(case.slopes(kap)[0])
-        for j in range(1, case.q + 1):
-            low, up = derivative_sandwich(case.model, kap,
-                                          width=case.bands.band(j).width)
-            fd = slopes[j - 1]
+    slopes = np.abs(case.slopes(case.kappas_open)[0]).tolist()
+    for kap, row in zip(case.kappas_open, slopes):
+        for band, fd in zip(case.bands.bands, row):
+            low, up = derivative_sandwich(case.model, kap, width=band.width)
             m = min(fd - low * (1.0 - 1e-6) + 1e-12,
                     up * (1.0 + 1e-6) + 1e-12 - fd)
-            yield {"kappa": kap, "band": j, "lower": low,
-                   "value": float(fd), "upper": up, "margin": m,
-                   "ok": m >= 0.0}
+            yield {"kappa": kap, "band": band.j, "lower": low,
+                   "value": fd, "upper": up, "margin": m, "ok": m >= 0.0}
 
 
 def _weights(case):
     q = case.q
-    for kap in case.kappas_open:
+    phis = fiber_eigensystems(case.model, case.kappas_open)[1]
+    for kap, phi in zip(case.kappas_open, phis):
         _, u = floquet_eigensystem(case.model, kap)
-        phi = fiber_eigensystems(case.model, [kap])[1][0]
         mass_err = abs(float(np.sum(phi)) - 2.0)
         ortho_err = float(np.max(np.abs(u.conj().T @ u - np.eye(q))))
         m = min(WEIGHT_TOL - mass_err, WEIGHT_TOL * q - ortho_err)
@@ -242,10 +247,10 @@ def _weights(case):
 
 def _symmetry(case):
     tol = 1e-10 * max(1.0, case.bound)
-    for kap in case.kappas_open:
-        lams, phis = fiber_eigensystems(case.model, [kap, -kap])
-        d_lam = float(np.max(np.abs(lams[0] - lams[1])))
-        d_phi = float(np.max(np.abs(phis[0] - phis[1])))
+    kappas, n = case.kappas_open, len(case.kappas_open)
+    both = fiber_eigensystems(case.model, kappas + [-k for k in kappas])
+    diffs = (np.max(np.abs(v[:n] - v[n:]), axis=1).tolist() for v in both)
+    for kap, d_lam, d_phi in zip(kappas, *diffs):
         yield {"kappa": kap, "eigenvalue_difference": d_lam,
                "weight_difference": d_phi,
                **_under(max(d_lam, d_phi), tol, rel=False, strict=False)}
@@ -253,15 +258,14 @@ def _symmetry(case):
 
 def _phi_bound(case):
     q = case.q
-    win_lo, win_hi = interior_window(q)
-    for j in case.band_picks:
-        kap = win_lo + float(case.rng.uniform(0.0, 1.0)) * (win_hi - win_lo)
+    fds = case.slopes(case.kappas_interior)[1]
+    for kap, j, fd in zip(case.kappas_interior, case.band_picks, fds):
         try:
             dphi = phi_derivative(case.model, kap, j)
         except NearDegenerateError:
             yield None
             continue
-        fd = case.slopes(kap)[1][j - 1]
+        fd = float(fd[j - 1])
         width = case.bands.band(j).width
         bound_pt = 8.0 * math.e * q * q \
             / (width * (1.0 - abs(math.cos(q * kap))))
@@ -273,14 +277,14 @@ def _phi_bound(case):
             fd_ok = fd_rel < 1e-8
         m = bound_pt - abs(dphi)
         yield {"kappa": kap, "band": j, "value": dphi,
-               "finite_difference": float(fd), "fd_mismatch": float(fd_rel),
+               "finite_difference": fd, "fd_mismatch": fd_rel,
                "bound": bound_pt, "margin": m if fd_ok else -fd_rel,
                "ok": m >= 0.0 and fd_ok}
 
 
 def _chebyshev(case):
     model, q, bs = case.model, case.q, case.bands
-    b0 = bs.band(int(case.rng.integers(1, q + 1)))
+    b0 = bs.band(case.chebyshev_band)
     half = max(0.75 * b0.width, 0.05)
     interval = (b0.center - half, b0.center + half)
     eta_inf, _ = measure_kappa_infimum(model, interval, kappa_grid=64)
@@ -538,6 +542,10 @@ def floquet_identity_suite(models=None, count: int = 20, q_max: int = 8,
                          f"{samples_per_model}")
     if models is None:
         models = random_periodic_ensemble(count, q_max, seed)
+    # last's batch: E - V over a period's sites, 2 shifts, (kappa, band)
+    q = max((m.q for m in models), default=1)
+    check_memory(8 * samples_per_model * q * (4 * q + 8),
+                 f"a Floquet case of {samples_per_model} samples at q = {q}")
     cases = (_FloquetCase(idx, model, seed, samples_per_model, corrupt_corner)
              for idx, model in enumerate(models))
     snapshot = {"count": len(models), "q_max": q_max, "seed": seed,
@@ -609,7 +617,6 @@ class LowerBoundScan:
     window: tuple
     pairs: tuple
     constants: tuple
-    kappa_grid: int
     threshold_time: float
 
     @property
@@ -617,6 +624,21 @@ class LowerBoundScan:
         if not self.pairs:
             return 0.0
         return sum(1 for _, p, r in self.pairs if p >= r) / len(self.pairs)
+
+    @property
+    def ratios(self) -> tuple:
+        """(n, P q^6 ell T / eta^2) per scanned point: the c each P meets."""
+        return tuple((n, p * self.q ** 6 * self.band_width * self.time_scale
+                      / self.eta ** 2) for n, p, _ in self.pairs)
+
+    @property
+    def min_ratio(self) -> float:
+        return min(r for _, r in self.ratios)
+
+    @property
+    def suggested_c(self) -> float:
+        """The constant a re-calibration would freeze from this scan."""
+        return CALIBRATION_SAFETY * self.min_ratio
 
 
 def _lower_constants(constants) -> tuple:
@@ -717,47 +739,18 @@ def lower_bound_scan(model: PeriodicModel, interval, time_scale: float,
     return LowerBoundScan(q=q, theta=model.theta, eta=eta, band_index=j,
                           band_width=ell, time_scale=float(time_scale),
                           window=(n_lo, n_hi), pairs=tuple(pairs),
-                          constants=constants, kappa_grid=SCAN_KAPPA_GRID,
-                          threshold_time=threshold)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Measured ratios P * q^6 ell T / eta^2 across a scan window."""
-
-    q: int
-    eta: float
-    band_index: int
-    band_width: float
-    time_scale: float
-    window: tuple
-    ratios: tuple
-    min_ratio: float
-    suggested_c: float
+                          constants=constants, threshold_time=threshold)
 
 
 def calibrate_lower_bound(model: PeriodicModel, interval, time_scale: float,
                           config: EvolutionConfig = DEFAULT_CONFIG,
-                          max_points: int = 256) -> CalibrationResult:
-    """Regenerate the lower-bound constant on an instance.
-
-    Runs the window scan with c left free and the frozen c1 and cap,
-    reports the smallest measured ratio and CALIBRATION_SAFETY * min_ratio
-    as the constant a re-calibration would freeze.  The test suite compares
-    suggested_c against the frozen value.
-    """
-    scan = lower_bound_scan(model, interval, time_scale,
+                          max_points: int = 256) -> LowerBoundScan:
+    """Regenerate the lower-bound constant on an instance: the window scan
+    with c left free (0) and the frozen c1 and cap.  The test suite compares
+    its suggested_c against the frozen value."""
+    return lower_bound_scan(model, interval, time_scale,
                             (0.0, frozen.LOWER_C1, frozen.LOWER_CAP),
                             config, max_points)
-    q, ell, eta = scan.q, scan.band_width, scan.eta
-    ratios = tuple((n, p * q ** 6 * ell * time_scale / eta ** 2)
-                   for n, p, _ in scan.pairs)
-    min_ratio = min(r for _, r in ratios)
-    return CalibrationResult(q=q, eta=eta, band_index=scan.band_index,
-                             band_width=ell, time_scale=scan.time_scale,
-                             window=scan.window, ratios=ratios,
-                             min_ratio=min_ratio,
-                             suggested_c=CALIBRATION_SAFETY * min_ratio)
 
 
 # ---------------------------------------------------------------------------

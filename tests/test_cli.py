@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from qptransport import cli, transport
+from qptransport import cli, transport, verify
 from qptransport.cli import main, parse_axis, parse_freq_spec, to_jsonable
 
 
@@ -152,6 +152,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "MemoryLimitError" in err and "physical memory" in err
         assert not (out / "moments.csv").exists()
+
+    def test_floquet_samples_beyond_physical_memory_exit_one(
+            self, tmp_path, capsys, monkeypatch):
+        # 10^9 samples per model: refused before a Floquet case is built
+        monkeypatch.setattr(verify, "_FloquetCase", None)
+        out = tmp_path / "run"
+        assert main(["verify", "floquet", "--samples-per-model",
+                     str(10 ** 9), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "MemoryLimitError" in err and "physical memory" in err
+        assert error_manifest(out)["type"] == "MemoryLimitError"
 
     @pytest.mark.parametrize("argv", [
         ["discriminant", "--count", str(10 ** 12)],
@@ -433,6 +444,21 @@ class TestTheoremDemoCommand:
             header = (out / "theorem_points.csv").read_text().split("\n")[0]
             assert header.endswith(",".join(
                 f"min_p{p},ratio_plain_p{p},ratio_log_p{p}" for p in keys))
+
+    def test_orders_equal_to_six_digits_get_distinct_columns(self, tmp_path,
+                                                             capsys):
+        # 0.1 and 0.1000000001 once shared the header min_p0.1
+        out = tmp_path / "run"
+        assert main(["theorem-demo", "--depth-budget", "2", "--theta-grid",
+                     "2", "--max-radius", "200",
+                     "--p-list=0.1,0.1000000001", "--out", str(out)]) == 0
+        rep = json.loads((out / "theorem_demo.json").read_text())
+        keys = list(rep["points"][0]["min_moments"])
+        assert keys == ["0.1", "0.1000000001"]
+        header = (out / "theorem_points.csv").read_text().split("\n")[0]
+        assert header.split(",")[5:] == [
+            f"{name}_p{p}" for p in keys
+            for name in ("min", "ratio_plain", "ratio_log")]
 
     def test_vacuous_eta_counts_its_bandless_phases(self, tmp_path, capsys):
         # no band meets e0 +- epsilon at 4 of the 16 q = 2 phases and 13 of

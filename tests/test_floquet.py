@@ -576,3 +576,22 @@ def test_discriminant_vectorized_matches_scalar_calls(q, seed, energies):
     assert batch.tolist() == [discriminant(model, e) for e in energies]
     grid = discriminant(model, np.array(energies)[:, None] * [1.0, 0.5])
     assert grid.shape == (len(energies), 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-6.0, 6.0) | st.floats(-1e6, 1e6), min_size=1,
+                max_size=12))
+def test_discriminant_derivative_array_matches_scalar_calls(q, seed,
+                                                            energies):
+    # bit for bit, also where large energies renormalize the cocycle
+    model = random_model(q, rng=np.random.default_rng(seed))
+    batch = discriminant_derivative(model, np.array(energies))
+    assert batch.shape == (len(energies),)
+    assert batch.tolist() == [discriminant_derivative(model, e)
+                              for e in energies]
+    assert type(discriminant_derivative(model, energies[0])) is float
+    grid = discriminant_derivative(model,
+                                   np.array(energies)[:, None] * [1.0, 0.5])
+    assert grid.shape == (len(energies), 2)
+    assert grid[:, 0].tolist() == batch.tolist()

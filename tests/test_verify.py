@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qptransport import constants as frozen
+from qptransport import errors
 from qptransport import verify as vf
 from qptransport.arithmetic import (construct_liouville_frequency,
                                     continued_fraction_expansion)
-from qptransport.errors import DepthLimitError, InputError, ThresholdError
+from qptransport.errors import (DepthLimitError, InputError,
+                                MemoryLimitError, ThresholdError)
 from qptransport.floquet import band_structure
 from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
                                   TableSampling, ZeroSampling,
@@ -83,6 +87,31 @@ class TestFloquetSuite:
         # once numpy's ValueError for negative dimensions
         with pytest.raises(InputError, match="samples_per_model"):
             vf.floquet_identity_suite(count=2, samples_per_model=-3)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sets(st.sampled_from(vf.suite_checks("floquet")), min_size=1))
+    def test_check_rows_do_not_depend_on_the_other_checks(self, seed,
+                                                           checks):
+        # every draw is made when a case is built, so a subset's rows are
+        # the full suite's rows for those checks
+        run = {"count": 3, "q_max": 6, "seed": seed, "samples_per_model": 2}
+        full = vf.floquet_identity_suite(**run)
+        part = vf.floquet_identity_suite(checks=tuple(checks), **run)
+        assert part.artifacts == tuple(r for r in full.artifacts
+                                       if r["check"] in checks)
+        assert part.config_snapshot["skipped"] == {
+            name: full.config_snapshot["skipped"][name] for name in checks}
+
+    def test_samples_beyond_physical_memory_build_no_case(self, monkeypatch):
+        def no_case(*args):
+            raise AssertionError("a case was built")
+        monkeypatch.setattr(vf, "_FloquetCase", no_case)
+        monkeypatch.setattr(errors.os, "sysconf", lambda name: 1 << 10)
+        with pytest.raises(MemoryLimitError,
+                           match="Floquet case of 1000000000 samples"):
+            vf.floquet_identity_suite(count=2, q_max=8,
+                                      samples_per_model=10 ** 9)
 
     def test_report_row_filter(self):
         rep = vf.floquet_identity_suite(count=3, q_max=5, seed=0,
@@ -306,6 +335,19 @@ class TestLowerBound:
         # the window-edge point n = 115 is the argmin and is always sampled
         assert cal.min_ratio == pytest.approx(6.398, rel=0.05)
         assert cal.suggested_c >= frozen.LOWER_C
+
+    def test_calibration_is_the_scan_with_c_left_free(self):
+        cal = vf.calibrate_lower_bound(Q2_MODEL, full_spectrum(Q2_MODEL),
+                                       250.0, max_points=6)
+        scan = vf.lower_bound_scan(
+            Q2_MODEL, full_spectrum(Q2_MODEL), 250.0,
+            (0.0, frozen.LOWER_C1, frozen.LOWER_CAP), max_points=6)
+        assert cal == scan
+        assert cal.ratios == tuple(
+            (n, p * 2 ** 6 * cal.band_width * 250.0 / cal.eta ** 2)
+            for n, p, _ in cal.pairs)
+        assert cal.min_ratio == min(r for _, r in cal.ratios)
+        assert cal.suggested_c == vf.CALIBRATION_SAFETY * cal.min_ratio
 
     @pytest.mark.parametrize("run", [vf.lower_bound_scan,
                                      vf.calibrate_lower_bound])
