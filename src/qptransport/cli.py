@@ -8,7 +8,7 @@ default.  The output directory additionally honors the QPT_OUT
 environment variable (flag > QPT_OUT > config > default).  Each run
 writes a manifest.json capturing the fully resolved configuration,
 library and BLAS versions, BLAS threads and timings; a run that fails
-with a QptError other than a usage error records the error there.
+with any error other than a usage error records the error there.
 `qpt --from-manifest m.json` re-executes that configuration and
 regenerates the data artifacts byte-for-byte under the same BLAS builds
 and thread count.
@@ -110,9 +110,10 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the text is whole before the file opens: a value that cannot be
+    # written leaves no truncated file
+    text = json.dumps(to_jsonable(obj), indent=2, sort_keys=True)
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +504,7 @@ def _sweep_eval(task: dict) -> dict:
             (_, gamma, stderr), = _lyapunov_rows(cfg)
             values = {"gamma_hat": gamma, "stderr": stderr}
         return {"index": task["index"], "ok": True, "values": values}
-    except (QptError, UsageError, FloatingPointError, np.linalg.LinAlgError,
-            MemoryError) as exc:
+    except Exception as exc:
         return _failed_point(task, exc)
 
 
@@ -955,24 +955,34 @@ def execute(command: str, cfg: dict, out_dir: str | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"output directory {str(out)!r}: {exc}") from None
+    # exact denominators (5,179 digits at liouville:beta=4,q1=2,depth=3)
+    # pass Python's int <-> str digit limit; it is restored on return, for
+    # callers that run main in-process
+    digit_limit = sys.get_int_max_str_digits() \
+        if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     t0 = time.perf_counter()
     try:
         code, summary, artifacts, extra = COMMANDS[command].runner(cfg, out)
+        elapsed = time.perf_counter() - t0
+        write_json(out / "manifest.json", _manifest(
+            command, cfg, elapsed, status="ok", artifacts=artifacts,
+            results=extra))
     except UsageError:
         for d in created:  # deepest first; one holding files stays
             if any(d.iterdir()):
                 break
             d.rmdir()
         raise
-    except QptError as exc:  # the failed run is recorded, then reported
+    except Exception as exc:  # the failed run is recorded, then reported
         write_json(out / "manifest.json", _manifest(
             command, cfg, time.perf_counter() - t0, status="error",
             error={"type": type(exc).__name__, "message": str(exc)}))
         raise
-    elapsed = time.perf_counter() - t0
-    write_json(out / "manifest.json", _manifest(
-        command, cfg, elapsed, status="ok", artifacts=artifacts,
-        results=extra))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     print(f"{summary}  [{elapsed:.2f}s -> {out}]")
     return code
 

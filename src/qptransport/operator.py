@@ -83,9 +83,11 @@ def _orbit_points(alpha, theta: float, n_values) -> np.ndarray:
             n_arr = np.asarray(n_list, dtype=np.int64)
             res = (n_arr * p) % q
             return (theta + res / q) % 1.0
-        # products would overflow int64: exact big-int residues, one at a time
-        res = np.array([(n * p) % q for n in n_list], dtype=float)
-        return (theta + res / float(q)) % 1.0
+        # products would overflow int64: exact big-int residues, each
+        # divided by q in integer arithmetic (one rounding, and no float of
+        # a q past 1e308)
+        res = np.array([(n * p) % q / q for n in n_list])
+        return (theta + res) % 1.0
     return (theta + np.asarray(n_values, dtype=float) * float(alpha)) % 1.0
 
 
@@ -132,20 +134,6 @@ class Chain:
 
     def potential(self, n_lo: int, n_hi: int) -> np.ndarray:
         return sample_potential(self.f, self.alpha, self.theta, n_lo, n_hi)
-
-    @property
-    def norm_bound(self) -> float:
-        """Upper bound on the operator norm, 2 + sup|f|."""
-        # sup|f| from a scan; exact for the analytic kinds
-        if isinstance(self.f, AmoSampling):
-            sup = 2.0 * abs(self.f.coupling)
-        elif isinstance(self.f, ZeroSampling):
-            sup = 0.0
-        elif isinstance(self.f, TableSampling):
-            sup = float(np.max(np.abs(self.f.values)))
-        else:
-            sup = float(np.max(np.abs(self.f(np.linspace(0, 1, 4096, endpoint=False)))))
-        return 2.0 + sup
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,16 @@ import csv
 import json
 import math
 import os
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qptransport import cli, transport, verify
 from qptransport.cli import main, parse_axis, parse_freq_spec, to_jsonable
+from qptransport.floquet import band_structure
+from qptransport.operator import AmoSampling, Chain, periodic_model
 
 
 def error_manifest(out):
@@ -39,6 +43,19 @@ class TestFreqCommand:
         assert doc["convergents"][0] == [1, 2]
         assert doc["convergents"][1] == [27, 55]
         assert abs(doc["beta_hat"] - 2.0) < 0.1
+
+    def test_denominators_past_the_digit_limit(self, tmp_path, capsys):
+        # q3 of this ladder has 5,179 digits, past Python's int <-> str
+        # limit; the run writes them whole and leaves the limit as it was
+        limit = sys.get_int_max_str_digits()
+        out = tmp_path / "run"
+        assert main(["freq", "liouville:beta=4,q1=2,depth=3",
+                     "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        doc = json.loads((out / "freq.json").read_text(), parse_int=len)
+        assert doc["value_den"] == 5179
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
     def test_rational_and_value_specs(self, tmp_path, capsys):
         assert main(["freq", "3/8", "--out", str(tmp_path / "a")]) == 0
@@ -194,6 +211,41 @@ class TestExitCodes:
         recorded = error_manifest(out)
         assert recorded["type"] == error
         assert f"{error}: {recorded['message']}" in err
+
+    @pytest.mark.parametrize("error", [
+        RuntimeError("runner broke"), OverflowError("int too large"),
+        ValueError("Exceeds the limit")], ids=lambda e: type(e).__name__)
+    def test_any_failed_run_leaves_its_manifest(self, tmp_path, capsys,
+                                                monkeypatch, error):
+        def failing(cfg, out):
+            raise error
+        monkeypatch.setitem(cli.COMMANDS, "freq",
+                            cli.COMMANDS["freq"]._replace(runner=failing))
+        limit = sys.get_int_max_str_digits()
+        out = tmp_path / "run"
+        with pytest.raises(type(error)):
+            main(["freq", "2/5", "--out", str(out)])
+        assert sys.get_int_max_str_digits() == limit
+        assert error_manifest(out) == {"type": type(error).__name__,
+                                       "message": str(error)}
+
+    #: a frequency whose third denominator has 5,179 digits
+    HUGE = "liouville:beta=4,q1=2,depth=3"
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["moments", "--freq", HUGE], "moments.csv"),
+        (["transport", "--freq", HUGE], "transport.csv"),
+        (["sweep", "--freq", HUGE, "--times", "2,3"], "sweep.csv"),
+        (["theorem-demo", "--beta-target", "4", "--theta-grid", "2"],
+         "theorem_demo.json"),
+    ], ids=["moments", "transport", "sweep", "theorem-demo"])
+    def test_denominators_past_the_float_range_run(self, tmp_path, capsys,
+                                                   argv, artifact):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (out / artifact).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
 
     def test_memory_estimate_beyond_the_float_range_exits_one(
             self, tmp_path, capsys, monkeypatch):
@@ -394,6 +446,20 @@ class TestExitCodes:
         assert main(["sweep", "--command", "lyapunov",
                      "--thetas", "0,0.5"]) == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDiscriminantCommand:
+    def test_range_defaults_to_the_band_edges_padded(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["discriminant", "--freq", "2/5", "--count", "5",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out / "discriminant.csv")
+        bands = band_structure(periodic_model(AmoSampling(1.0),
+                                              Fraction(2, 5), 0.0)).bands
+        energies = [float(r[0]) for r in rows]
+        assert len(energies) == 5
+        assert energies[0] == bands[0].lo - 0.5
+        assert energies[-1] == bands[-1].hi + 0.5
 
 
 class TestMeasureCommand:
@@ -845,6 +911,45 @@ class TestSweep:
         assert [p["ok"] for p in index["points"]] == [True, False, True]
         assert index["points"][1]["error"] == \
             "LinAlgError: eigensolver did not converge"
+
+    def test_any_point_error_is_recorded(self, tmp_path, capsys,
+                                         monkeypatch):
+        def overflowing(chain, t, **kw):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "moments", overflowing)
+        out = tmp_path / "run"
+        assert main(["sweep", "--command", "moments", "--freq", "2/5",
+                     "--times", "4,5", "--orders", "2", "--jobs", "1",
+                     "--out", str(out)]) == 1
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert index["failed"] == 2
+        assert {p["error"] for p in index["points"]} == {
+            "OverflowError: int too large to convert to float"}
+
+    @pytest.mark.parametrize("spec, convergents", [
+        ("8/13", {2: Fraction(1, 2), 4: Fraction(3, 5), 9: Fraction(8, 13)}),
+        ("0.6180339887498949", {2: Fraction(1, 2), 3: Fraction(2, 3)}),
+    ], ids=["rational", "value"])
+    def test_depth_axis_walks_the_convergents(self, tmp_path, capsys, spec,
+                                              convergents):
+        out = tmp_path / "run"
+        depths = [1, *convergents]
+        assert main(["sweep", "--command", "moments", "--freq", spec,
+                     "--depths", ",".join(map(str, depths)),
+                     "--time-scale", "3", "--orders", "2",
+                     "--out", str(out)]) == 1
+        header, rows = read_csv(out / "sweep.csv")
+        assert [int(r[header.index("depth")]) for r in rows] == depths
+        # depth 1 of both is 1/1, outside (0, 1): that point fails
+        index = json.loads((out / "sweep_index.json").read_text())
+        assert [p["ok"] for p in index["points"]] == \
+            [False] + [True] * len(convergents)
+        assert "InputError" in index["points"][0]["error"]
+        for row, alpha in zip(rows[1:], convergents.values()):
+            expected = cli.moments(Chain(AmoSampling(1.0), alpha), 3.0,
+                                   orders=(2,)).values[0]
+            assert float(row[header.index("m_2")]) == expected
 
     def test_dead_worker_recorded_and_run_completes(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from qptransport.arithmetic import construct_liouville_frequency
 from qptransport.errors import InputError
 from qptransport.operator import (
     AmoSampling,
@@ -142,16 +144,29 @@ def test_finite_operator_eigensystem_consistent():
     assert np.all(np.diff(w) >= 0)
 
 
+def test_eigensystem_falls_back_to_qr_iteration(monkeypatch):
+    real, drivers = scipy.linalg.eigh_tridiagonal, []
+
+    def default_fails(d, e, lapack_driver="auto"):
+        drivers.append(lapack_driver)
+        if lapack_driver == "auto":
+            raise np.linalg.LinAlgError("stevd did not converge")
+        return real(d, e, lapack_driver=lapack_driver)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", default_fails)
+    op = finite_operator(Chain(AmoSampling(0.5), 0.3111, theta=0.05), N=12)
+    w, u = op.eigensystem()
+    assert drivers == ["auto", "stev"]
+    w_stev, u_stev = real(op.diagonal, np.ones(op.dimension - 1),
+                          lapack_driver="stev")
+    assert w.tolist() == w_stev.tolist() and u.tolist() == u_stev.tolist()
+
+
 def test_chain_validation():
     with pytest.raises(InputError):
         Chain(ZeroSampling(), 1.5)
     with pytest.raises(InputError):
         Chain(ZeroSampling(), Fraction(7, 5))
-
-
-def test_chain_norm_bound():
-    assert Chain(AmoSampling(2.0), 0.4).norm_bound == pytest.approx(6.0)
-    assert Chain(ZeroSampling(), 0.4).norm_bound == pytest.approx(2.0)
 
 
 def test_huge_denominator_sampling():
@@ -161,3 +176,12 @@ def test_huge_denominator_sampling():
     v = sample_potential(f, alpha, 0.0, 0, 2)
     assert v.shape == (3,)
     assert np.all(np.isfinite(v))
+    # and beyond the float range: q3 of this ladder has 5,179 digits
+    alpha = construct_liouville_frequency(4.0, 2, 3).value
+    assert alpha.denominator > 10**5000
+    v = sample_potential(f, alpha, 0.25, -2, 2)
+    # each point theta + (n p mod q) / q, the fraction correctly rounded
+    points = [0.25 + float(Fraction(n * alpha.numerator % alpha.denominator,
+                                    alpha.denominator))
+              for n in range(-2, 3)]
+    assert v.tolist() == f(np.array(points) % 1.0).tolist()

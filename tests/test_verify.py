@@ -634,6 +634,63 @@ class TestTheoremDemo:
         assert rep.config_snapshot["probe_q"] >= 2
         assert len(rep.feasible_points) >= 1
 
+    @pytest.mark.parametrize("lam, delta", [(1.4, 0.45), (1.5, 0.45),
+                                            (2.0, 0.45), (3.0, 0.45),
+                                            (1.3, 0.3)])
+    def test_raised_target_keeps_the_deeper_probe(self, lam, delta):
+        # the default target leaves no slack above 3 gamma0 / delta; the
+        # raised ladder's only probe-sized convergent is q = 2, whose two
+        # band centres would read gamma0 high enough to make eps' negative
+        rep = vf.theorem_demo(AmoSampling(lam), delta, theta_grid=1)
+        snap = rep.config_snapshot
+        assert snap["beta_target_bumped"]
+        assert (snap["probe_q"], snap["probe_depth"]) == (55, 2)
+        assert rep.eps_prime > 0
+        assert rep.beta_target == pytest.approx(
+            3.0 * (rep.gamma0 + 0.05) / delta, rel=1e-12)
+
+    def test_raised_target_reprobes_an_approximant_as_deep(self):
+        rep = vf.theorem_demo(AmoSampling(1.37), 0.45, theta_grid=1)
+        snap = rep.config_snapshot
+        assert snap["beta_target_bumped"]
+        assert (snap["probe_q"], snap["probe_depth"]) == (103, 2)
+        assert rep.frequency.convergent(2).denominator == 103
+        assert rep.eps_prime > 0
+
+    def test_ladder_stops_where_its_next_exponent_is_too_large(self):
+        rep = vf.theorem_demo(AmoSampling(1.05), 0.45, beta_target=10.0,
+                              theta_grid=1)
+        freq = rep.frequency
+        assert [freq.convergent(m) for m in range(1, freq.depth + 1)] == [
+            Fraction(1, 2), Fraction(242582597, 485165195)]
+        assert rep.config_snapshot["probe_q"] == 2
+        assert rep.eps_prime > 0
+
+    def test_phase_grid_and_its_midpoints_in_one_pass(self, monkeypatch):
+        real, phases = vf.moments, []
+
+        def spy(chain, t, **kw):
+            phases.append(chain.theta)
+            return real(chain, t, **kw)
+
+        monkeypatch.setattr(vf, "moments", spy)
+        f = AmoSampling(1.05)
+        rep = vf.theorem_demo(f, 0.45, theta_grid=4)
+        assert rep.feasible_points
+        assert phases == [k / 8 for k in range(8)] * len(rep.feasible_points)
+        pt = rep.feasible_points[0]
+        values = [real(Chain(f, rep.frequency.float_value, k / 8),
+                       pt.time_scale, orders=(1, 2)).values
+                  for k in range(8)]
+        changes = []
+        for j, p in enumerate((1, 2)):
+            grid = [v[j] for v in values[::2]]
+            assert pt.min_moments[p] == min(grid)
+            assert pt.argmin_theta[p] == grid.index(min(grid)) / 4
+            low = min(v[j] for v in values)
+            changes.append(abs(low - min(grid)) / min(grid))
+        assert pt.refined_change == max(changes)
+
 
 #: the time route's fixed numerics, which every report that runs the time
 #: route records by name
