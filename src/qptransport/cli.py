@@ -249,7 +249,10 @@ def _run_freq(cfg: dict, out: Path):
     write_json(out / "freq.json", doc)
     beta = doc["beta_hat"]
     beta_s = "n/a" if beta is None else f"{beta:.6g}"
-    summary = (f"freq value={freq.value.numerator}/{freq.value.denominator} "
+    # p/q by its digit counts: freq.json holds the value, which may run to
+    # thousands of digits
+    digits = (len(str(doc["value_num"])), len(str(doc["value_den"])))
+    summary = (f"freq value_digits={digits[0]}/{digits[1]} "
                f"depth={freq.depth} beta_hat={beta_s}")
     return 0, summary, ["freq.json"], {}
 

@@ -26,6 +26,8 @@ _BAND_CHUNK = 1 << 18
 class SamplingFunction:
     """Real 1-periodic function on the circle."""
 
+    even = property(lambda self: False)  # f(-x) = f(x) known for every x
+
     def __call__(self, x):
         raise NotImplementedError
 
@@ -39,6 +41,8 @@ class AmoSampling(SamplingFunction):
     def __call__(self, x):
         return 2.0 * self.coupling * np.cos(TWO_PI * np.asarray(x, dtype=float))
 
+    even = property(lambda self: True)
+
     def __repr__(self):
         return f"AmoSampling(coupling={self.coupling})"
 
@@ -48,6 +52,8 @@ class ZeroSampling(SamplingFunction):
 
     def __call__(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
+
+    even = property(lambda self: True)
 
     def __repr__(self):
         return "ZeroSampling()"
@@ -68,6 +74,10 @@ class TableSampling(SamplingFunction):
     def __call__(self, x):
         xm = np.asarray(x, dtype=float) % 1.0
         return np.interp(xm, self._xp, self._fp)
+
+    @property
+    def even(self) -> bool:  # values[k] == values[(K - k) % K] for every k
+        return bool(np.all(self.values == np.roll(self.values[::-1], 1)))
 
     def __repr__(self):
         return f"TableSampling(<{self.values.size} values>)"
@@ -225,6 +235,14 @@ class FiniteOperator:
                                                      lapack_driver="stev")
             self._eig = (w, u)
         return self._eig
+
+    def mirrored(self) -> "FiniteOperator":
+        """The lattice reflected n -> -n (diagonal reversed); its eigenvectors
+        are u[::-1] of this operator's cached solve, never solved again."""
+        op = FiniteOperator(self.diagonal[::-1], self.N)
+        w, u = self.eigensystem()
+        op._eig = (w, u[::-1])
+        return op
 
     def resolvent(self, z, sources=(0,), window=None) -> np.ndarray:
         """Entries G(n, s; z) = (H - z)^(-1)(n, s) for each site n of

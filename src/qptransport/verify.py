@@ -209,16 +209,16 @@ def _last(case):
     model, q = case.model, case.q
     lams = fiber_eigensystems(model, case.kappas_open)[0]
     dprimes = discriminant_derivative(model, lams).tolist()
-    bands = case.bands.bands
-    edges = discriminant(model, [(band.lo, band.hi) for band in bands])
-    uppers = (math.e * np.abs(edges[:, 0] - edges[:, 1])).tolist()
+    # the upper bound e |Delta(lo) - Delta(hi)| is 4e: Delta = +-2 at the
+    # band edges, with opposite signs
+    upper = 4.0 * math.e
     for kap, dprime in zip(case.kappas_open, dprimes):
         lhs = (1.0 + math.sqrt(5.0)) * (1.0 - abs(math.cos(q * kap)))
-        for band, d, rhs in zip(bands, dprime, uppers):
+        for band, d in zip(case.bands.bands, dprime):
             mid = band.width * abs(d)
-            m = min(mid - lhs, rhs - mid, 4.0 * math.e + 1e-6 - mid)
+            m = min(mid - lhs, upper + 1e-6 - mid)
             yield {"kappa": kap, "band": band.j, "lower": lhs, "middle": mid,
-                   "upper": rhs, "margin": m, "ok": m >= -1e-9}
+                   "upper": upper, "margin": m, "ok": m >= -1e-9}
 
 
 def _sandwich(case):
@@ -959,7 +959,8 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
 
     Probes the growth rate gamma0 and its argmin energy E0 on a moderate
     approximant of a constructed fast-approximable frequency, sets eps'
-    so the subsequence threshold equals beta_target, schedules the
+    so the subsequence threshold equals beta_target (halfway from
+    3 gamma0 / delta to a raised one), schedules the
     qualifying time scales, and tabulates min over a theta grid of the
     Abel moments against both target normalizations.  A beta_target with
     no slack above 3 gamma0 / delta is raised once, and the raised
@@ -1020,7 +1021,11 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
             probe_m, probe_model, probe_bs, probe = reprobe
     gamma_raw, e0 = probe.gamma, probe.energy
     gamma0 = max(gamma_raw, 1e-4)
-    eps_prime = (beta_target * delta / 3.0 - gamma0) / 2.0
+    # the threshold 3 (gamma0 + 2 eps') / delta is beta_target, or after a
+    # raise halfway from 3 gamma0 / delta to it: the raised ladder grows
+    # at beta_target to the last bit, and would schedule no convergent
+    eps_prime = (beta_target * delta / 3.0 - gamma0) / (4.0 if bumped
+                                                        else 2.0)
 
     neigh = 0.25
     widths = [probe_bs.band(j).width for j in range(1, probe_model.q + 1)
@@ -1059,9 +1064,13 @@ def theorem_demo(f, delta: float, depth_budget: int = 3, p_list=(1, 2),
                 if radius is None else
                 f"needs lattice radius {radius} > budget {max_radius}"))
             continue
-        values = np.array([moments(Chain(f, freq.float_value, theta),
-                                   t_scale, orders=p_list).values
-                           for theta in thetas.tolist()])
+        # an even f makes phase 2G - j's lattice phase j's reflected
+        values = np.empty((thetas.size, len(p_list)))
+        for j in range(theta_grid + 1 if f.even else thetas.size):
+            op = finite_operator(Chain(f, freq.float_value, thetas[j]), radius)
+            values[j] = moments(op, t_scale, p_list).values
+            if f.even and 0 < j < theta_grid:
+                values[-j] = moments(op.mirrored(), t_scale, p_list).values
         grid = values[::2]
         mins = dict(zip(p_list, grid.min(axis=0).tolist()))
         argmins = dict(zip(p_list,

@@ -54,6 +54,10 @@ class TestFreqCommand:
         assert sys.get_int_max_str_digits() == limit
         doc = json.loads((out / "freq.json").read_text(), parse_int=len)
         assert doc["value_den"] == 5179
+        # the summary line gives the value's digit counts, not its digits
+        line = capsys.readouterr().out.strip()
+        assert len(line) < 200
+        assert f"value_digits={doc['value_num']}/5179 " in line
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
 
@@ -61,6 +65,7 @@ class TestFreqCommand:
         assert main(["freq", "3/8", "--out", str(tmp_path / "a")]) == 0
         doc = json.loads((tmp_path / "a" / "freq.json").read_text())
         assert doc["value_num"] == 3 and doc["value_den"] == 8
+        assert "freq value_digits=1/1 depth=" in capsys.readouterr().out
         assert main(["freq", "0.4142135623730951",
                      "--out", str(tmp_path / "b")]) == 0
 

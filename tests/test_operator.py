@@ -162,6 +162,41 @@ def test_eigensystem_falls_back_to_qr_iteration(monkeypatch):
     assert w.tolist() == w_stev.tolist() and u.tolist() == u_stev.tolist()
 
 
+@pytest.mark.parametrize("f, even", [
+    (AmoSampling(1.3), True), (ZeroSampling(), True),
+    (TableSampling([1.0, 2.0, 3.0, 2.0]), True),
+    (TableSampling([1.0, 2.0, 2.0]), True), (TableSampling([1.0, 2.0]), True),
+    (TableSampling([0.0, 1.0, 2.5, -1.0, 0.5]), False),
+    (TableSampling([1.0, 2.0, 3.0]), False)])
+def test_even_sampling(f, even):
+    assert f.even is even
+    with pytest.raises(AttributeError):
+        f.even = not even
+    x = np.linspace(0.0, 1.0, 41)
+    if even:
+        np.testing.assert_allclose(f(-x), f(x), rtol=0, atol=1e-12)
+    else:
+        assert np.max(np.abs(f(-x) - f(x))) > 0.1
+
+
+def test_mirrored_reflects_the_lattice_without_a_new_solve(monkeypatch):
+    op = finite_operator(Chain(AmoSampling(0.7), 0.3111, theta=0.05), N=12)
+    w, u = op.eigensystem()
+    solves = []
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda *a, **k: solves.append(a))
+    mirror = op.mirrored()
+    assert mirror.N == op.N
+    assert mirror.diagonal.tolist() == op.diagonal[::-1].tolist()
+    w_m, u_m = mirror.eigensystem()
+    assert solves == []
+    assert w_m is w
+    assert u_m.tolist() == u[::-1].tolist()
+    off = np.ones(op.dimension - 1)
+    h = np.diag(mirror.diagonal) + np.diag(off, 1) + np.diag(off, -1)
+    np.testing.assert_allclose(h @ u_m, u_m * w_m, atol=1e-12)
+
+
 def test_chain_validation():
     with pytest.raises(InputError):
         Chain(ZeroSampling(), 1.5)

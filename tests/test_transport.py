@@ -427,6 +427,40 @@ def test_distribution_matches_dense_kernel(time_scale, extra, coupling,
     assert np.all(np.abs(dist.probabilities - dense) <= 1e-12 * 2.0)
 
 
+@given(free=st.booleans(), coupling=st.floats(0.0, 3.0),
+       alpha=st.floats(0.01, 0.99), grid=st.integers(1, 64),
+       phase=st.integers(0, 127), time_scale=st.floats(0.5, 5.0))
+@settings(max_examples=40, deadline=None)
+def test_mirrored_lattice_is_the_mirror_phase(free, coupling, alpha, grid,
+                                              phase, time_scale):
+    # an even f has V_(1 - theta)(n) = V_theta(-n): the reflected lattice
+    # at theta is the lattice at 1 - theta, and reuses theta's eigensolve
+    f = ZeroSampling() if free else AmoSampling(coupling)
+    theta = phase % (2 * grid) / (2 * grid)
+    op = finite_operator(Chain(f, alpha, theta),
+                         tr.truncation_radius(time_scale, 1))
+    op.eigensystem()
+    with mock.patch.object(scipy.linalg, "eigh_tridiagonal",
+                           wraps=scipy.linalg.eigh_tridiagonal) as solver:
+        got = tr.moments(op.mirrored(), time_scale, orders=(1, 2)).values
+    assert solver.call_count == 0
+    want = tr.moments(Chain(f, alpha, 1.0 - theta), time_scale,
+                      orders=(1, 2)).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_mirrored_lattice_of_an_uneven_sampling_is_another_phase():
+    # negative control: with f(-x) != f(x) the reflection at theta is not
+    # the lattice at 1 - theta
+    f = TableSampling([0.0, 1.0, 2.5, -1.0, 0.5])
+    assert not f.even
+    op = finite_operator(Chain(f, GOLDEN, 0.125), tr.truncation_radius(3.0))
+    got = np.array(tr.moments(op.mirrored(), 3.0, orders=(1, 2)).values)
+    want = np.array(tr.moments(Chain(f, GOLDEN, 0.875), 3.0,
+                               orders=(1, 2)).values)
+    assert np.all(np.abs(got - want) > 1e-6 * want)
+
+
 @st.composite
 def time_windows(draw):
     """AMO chains and periodic models (q = 1 to 7) at small T, windows of

@@ -20,10 +20,11 @@ from qptransport.errors import (DepthLimitError, InputError,
 from qptransport.floquet import band_structure
 from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
                                   TableSampling, ZeroSampling,
-                                  periodic_model, sample_potential)
+                                  finite_operator, periodic_model,
+                                  sample_potential)
 from qptransport.transfer import (cocycle_orbit, gordon_block_statistic,
                                   transfer_difference, transfer_product)
-from qptransport.transport import EvolutionConfig
+from qptransport.transport import EvolutionConfig, truncation_radius
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 Q2_MODEL = PeriodicModel.from_potential([1.0, -1.0])
@@ -590,7 +591,11 @@ class TestGordon:
 class TestTheoremDemo:
     def test_amo_pipeline(self):
         rep = vf.theorem_demo(AmoSampling(1.05), 0.45, theta_grid=16)
+        # an unraised target is the threshold
+        assert not rep.config_snapshot["beta_target_bumped"]
+        assert rep.eps_prime == (2.0 * 0.45 / 3.0 - rep.gamma0) / 2.0
         assert rep.threshold == pytest.approx(rep.beta_target, rel=1e-12)
+        assert rep.schedule.indices == (1, 2)
         assert rep.beta_hat > rep.threshold
         assert rep.schedule.size >= 2
         first = rep.points[0]
@@ -634,20 +639,28 @@ class TestTheoremDemo:
         assert rep.config_snapshot["probe_q"] >= 2
         assert len(rep.feasible_points) >= 1
 
-    @pytest.mark.parametrize("lam, delta", [(1.4, 0.45), (1.5, 0.45),
-                                            (2.0, 0.45), (3.0, 0.45),
-                                            (1.3, 0.3)])
+    @pytest.mark.parametrize("lam, delta", [(1.4, 0.45), (1.45, 0.45),
+                                            (1.5, 0.45), (2.0, 0.45),
+                                            (3.0, 0.45), (1.3, 0.3)])
     def test_raised_target_keeps_the_deeper_probe(self, lam, delta):
         # the default target leaves no slack above 3 gamma0 / delta; the
         # raised ladder's only probe-sized convergent is q = 2, whose two
         # band centres would read gamma0 high enough to make eps' negative
-        rep = vf.theorem_demo(AmoSampling(lam), delta, theta_grid=1)
+        rep = vf.theorem_demo(AmoSampling(lam), delta, theta_grid=1,
+                              max_radius=500)
         snap = rep.config_snapshot
         assert snap["beta_target_bumped"]
         assert (snap["probe_q"], snap["probe_depth"]) == (55, 2)
         assert rep.eps_prime > 0
         assert rep.beta_target == pytest.approx(
             3.0 * (rep.gamma0 + 0.05) / delta, rel=1e-12)
+        # the raised ladder grows at beta_target to the last bit, so a
+        # threshold equal to it would schedule no convergent (q = 2 is
+        # scheduled at every lambda; at lambda = 3 it needs radius 2334)
+        assert 3.0 * rep.gamma0 / delta < rep.threshold < rep.beta_target
+        assert rep.threshold < rep.beta_hat
+        assert rep.schedule.denominators[0] == 2
+        assert rep.feasible_points or rep.points[0].required_radius > 500
 
     def test_raised_target_reprobes_an_approximant_as_deep(self):
         rep = vf.theorem_demo(AmoSampling(1.37), 0.45, theta_grid=1)
@@ -667,21 +680,34 @@ class TestTheoremDemo:
         assert rep.eps_prime > 0
 
     def test_phase_grid_and_its_midpoints_in_one_pass(self, monkeypatch):
-        real, phases = vf.moments, []
+        # the 2G = 8 phases j / 8 in one pass: j = 0 .. G on their own
+        # lattices, and for the even AMO sampling phase 8 - j as phase j's
+        # lattice reflected, right after it
+        real, lattices = vf.moments, []
 
-        def spy(chain, t, **kw):
-            phases.append(chain.theta)
-            return real(chain, t, **kw)
+        def spy(op, t, *args, **kw):
+            lattices.append(op.diagonal)
+            return real(op, t, *args, **kw)
 
         monkeypatch.setattr(vf, "moments", spy)
         f = AmoSampling(1.05)
         rep = vf.theorem_demo(f, 0.45, theta_grid=4)
         assert rep.feasible_points
-        assert phases == [k / 8 for k in range(8)] * len(rep.feasible_points)
         pt = rep.feasible_points[0]
-        values = [real(Chain(f, rep.frequency.float_value, k / 8),
-                       pt.time_scale, orders=(1, 2)).values
-                  for k in range(8)]
+        t_scale, alpha = pt.time_scale, rep.frequency.float_value
+        radius = truncation_radius(t_scale, 1)
+        ops = {j: finite_operator(Chain(f, alpha, j / 8), radius)
+               for j in range(5)}
+        ops.update({8 - j: ops[j].mirrored() for j in (1, 2, 3)})
+        order = [0, 1, 7, 2, 6, 3, 5, 4]
+        assert len(lattices) == 8 * len(rep.feasible_points)
+        for j, diagonal in zip(order, lattices):
+            assert diagonal.tolist() == ops[j].diagonal.tolist()
+        values = [real(ops[j], t_scale, orders=(1, 2)).values
+                  for j in range(8)]
+        for j in range(5):
+            assert values[j] == real(Chain(f, alpha, j / 8), t_scale,
+                                     orders=(1, 2)).values
         changes = []
         for j, p in enumerate((1, 2)):
             grid = [v[j] for v in values[::2]]
@@ -690,6 +716,28 @@ class TestTheoremDemo:
             low = min(v[j] for v in values)
             changes.append(abs(low - min(grid)) / min(grid))
         assert pt.refined_change == max(changes)
+
+    def test_uneven_sampling_solves_every_phase(self, monkeypatch):
+        def no_mirror(op):
+            raise AssertionError("an uneven sampling has no mirror phase")
+
+        real, phases = vf.moments, []
+
+        def spy(op, t, *args, **kw):
+            phases.append(op.diagonal)
+            return real(op, t, *args, **kw)
+
+        monkeypatch.setattr(vf.FiniteOperator, "mirrored", no_mirror)
+        monkeypatch.setattr(vf, "moments", spy)
+        f = TableSampling([0.0, 1.0, 2.5, -1.0, 0.5])
+        rep = vf.theorem_demo(f, 0.45, theta_grid=4)
+        assert rep.feasible_points
+        radius = truncation_radius(rep.feasible_points[0].time_scale, 1)
+        alpha = rep.frequency.float_value
+        assert len(phases) == 8 * len(rep.feasible_points)
+        for j, diagonal in enumerate(phases[:8]):
+            assert diagonal.tolist() == \
+                Chain(f, alpha, j / 8).potential(-radius, radius).tolist()
 
 
 #: the time route's fixed numerics, which every report that runs the time
