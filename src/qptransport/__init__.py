@@ -46,7 +46,6 @@ from .transfer import (  # noqa: F401
     gordon_block_statistic,
     lyapunov_exponent,
     min_lyapunov_on_spectrum,
-    transfer_difference,
     transfer_product,
 )
 from .transport import (  # noqa: F401
@@ -67,7 +66,6 @@ from .verify import (  # noqa: F401
     bandwidth_proposition_check,
     calibrate_lower_bound,
     floquet_identity_suite,
-    gordon_diagnostic,
     lower_bound_scan,
     theorem_demo,
     transport_consistency_suite,

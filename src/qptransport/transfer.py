@@ -1,5 +1,4 @@
-"""Transfer-matrix products, Lyapunov exponent estimation, and the
-rational-approximation diagnostics built on them.
+"""Transfer-matrix products and Lyapunov exponent estimation.
 
 One-step matrices are T(n) = [[E - V(n), -1], [1, 0]] (det = 1), so
 Phi_{[0,n]} = T(n)...T(0) maps (psi(0), psi(-1)) to (psi(n+1), psi(n)).
@@ -14,18 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, NumericalError, check_memory
 from .operator import (Chain, PeriodicModel, SamplingFunction, _finite,
-                       lattice_potential, sample_potential)
+                       lattice_potential)
 
 RENORM_CADENCE = 32
-_OVERFLOW_GUARD = 1e250
 # log of the state size the cocycle renormalizes before: squares stay finite
-_RENORM_BUDGET = 0.5 * math.log(_OVERFLOW_GUARD)
+_RENORM_BUDGET = 0.5 * math.log(1e250)
 # E - V(n) entries per Lyapunov block of (steps, phases, energies)
 _BLOCK_ENTRIES = 1 << 17
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,10 +57,9 @@ class TransferProduct:
         return math.exp(self.log_scale) * self.matrix_scaled
 
 
-def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0,
-                  renormalize: bool = True):
-    """Yield (x, y, log_scale) after each step (x, y) -> (a x - y, x), or
-    with inverse (x, y) -> (y, a y - x), over axis 0 of a = E - V(n).
+def cocycle(a, x, y, log_scale=0):
+    """The state (x, y, log_scale) after the steps (x, y) -> (a x - y, x)
+    over axis 0 of a = E - V(n) (the start state if a is empty).
 
     Rows of ``a`` broadcast against the states, whose last axis groups
     columns that share one scale.  Every RENORM_CADENCE steps (sooner for
@@ -72,8 +68,6 @@ def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0,
     states are 2^log_scale * (x, y).  Dividing by a power of two moves no
     mantissa, so where the renormalizations fall leaves the states' values
     unchanged, and a batch equals its single calls bit for bit.
-    renormalize=False keeps the plain recurrence's values and raises
-    NumericalError once the newest |psi| passes _OVERFLOW_GUARD.
     """
     a = np.asarray(a, dtype=float)
     shape = np.broadcast_shapes(a.shape[1:], np.shape(x), np.shape(y)) or (1,)
@@ -85,17 +79,10 @@ def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0,
     growth = growth.tolist() + [0.0]
     budget = 0.0
     for n, an in enumerate(a):
-        if inverse:
-            x, y = y, an * y - x
-        else:
-            x, y = an * x - y, x
+        x, y = an * x - y, x
         budget += growth[n]
-        if not renormalize:
-            if abs(y if inverse else x).max() > _OVERFLOW_GUARD:
-                raise NumericalError(f"transfer orbit overflows at step {n} "
-                                     "(|psi| > 1e250)")
-        elif ((n + 1) % RENORM_CADENCE == 0
-              or budget + growth[n + 1] > _RENORM_BUDGET):
+        if ((n + 1) % RENORM_CADENCE == 0
+                or budget + growth[n + 1] > _RENORM_BUDGET):
             fro = np.sqrt(np.sum(x * x + y * y, axis=-1, keepdims=True))
             if not np.all(np.isfinite(fro) & (fro > 0.0)):
                 raise NumericalError(f"transfer norm not finite at step {n + 1}")
@@ -103,16 +90,7 @@ def cocycle_orbit(a, x, y, inverse: bool = False, log_scale=0,
             x, y = np.ldexp(x, -shift), np.ldexp(y, -shift)
             log_scale = log_scale + shift[..., 0]
             budget = 0.0
-        yield x, y, log_scale
-
-
-def cocycle(a, x, y, log_scale=0):
-    """The last state of the forward cocycle_orbit (the start state if a is
-    empty)."""
-    state = (x, y, log_scale)
-    for state in cocycle_orbit(a, x, y, log_scale=log_scale):
-        pass
-    return state
+    return x, y, log_scale
 
 
 def _det_stream(a) -> tuple[float, int]:
@@ -280,43 +258,3 @@ def gordon_block_statistic(a_matrix, u=None) -> float:
         np.linalg.norm(a_inv @ u),
         np.linalg.norm(a_inv @ (a_inv @ u)),
     ))
-
-
-def _paired_orbit(f: SamplingFunction, alpha, alpha_m: Fraction,
-                  theta: float, energy: float, n_max: int | None, u,
-                  backward: bool):
-    """The plain cocycle_orbit from u = (psi(0), psi(-1)) over the sites
-    0..n_max-1 (backward: -1..-n_max) for the true potential (column 0)
-    and its rational approximant's (column 1), which is exactly q-periodic.
-
-    n_max defaults to twice the approximant's denominator q.  The orbit
-    raises NumericalError once either solution passes the overflow guard.
-    """
-    if not isinstance(alpha_m, Fraction):
-        raise InputError("alpha_m must be a Fraction approximant")
-    if n_max is None:
-        n_max = 2 * alpha_m.denominator
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
-    sites = (-n_max, -1) if backward else (0, n_max - 1)
-    v = np.stack([sample_potential(f, alpha, theta, *sites),
-                  sample_potential(f, alpha_m, theta, *sites)], axis=1)
-    a = float(energy) - (v[::-1] if backward else v)
-    return cocycle_orbit(a, np.full(2, float(u[0])), np.full(2, float(u[1])),
-                         backward, renormalize=False)
-
-
-def transfer_difference(f: SamplingFunction, alpha, alpha_m: Fraction,
-                        theta: float, energy: float, n_max: int | None = None,
-                        u=(1.0, 0.0), backward: bool = False) -> float:
-    """max over lengths 1..n_max of ||(Phi_alpha - Phi_alpha_m) u||, the
-    gap between the solutions from u = (psi(0), psi(-1)) for alpha and its
-    rational approximant, over the sites 0..length-1 (backward: -1..-length).
-
-    n_max defaults to twice the approximant's denominator (the two-block
-    range the Gordon argument inspects).  Raises NumericalError if the
-    orbits overflow before n_max.
-    """
-    orbit = _paired_orbit(f, alpha, alpha_m, theta, energy, n_max, u,
-                          backward)
-    return max(math.hypot(x[0] - x[1], y[0] - y[1]) for x, y, _ in orbit)

@@ -24,7 +24,7 @@ from . import transport
 from .arithmetic import (Frequency, beta_estimate,
                          construct_liouville_frequency)
 from .errors import (DegeneratePointError, DepthLimitError, InputError,
-                     NearDegenerateError, NumericalError, ThresholdError,
+                     NearDegenerateError, ThresholdError,
                      check_memory)
 from .floquet import (band_structure, derivative_sandwich, discriminant,
                       discriminant_derivative, eigenvalue_derivative,
@@ -35,8 +35,7 @@ from .floquet import (band_structure, derivative_sandwich, discriminant,
 from .operator import (AmoSampling, Chain, FiniteOperator, PeriodicModel,
                        finite_operator, periodic_model)
 from .quadrature import adaptive_integrate
-from .transfer import (_paired_orbit, lyapunov_exponent,
-                       min_lyapunov_on_spectrum)
+from .transfer import lyapunov_exponent, min_lyapunov_on_spectrum
 from .transport import (DEFAULT_CONFIG, EvolutionConfig, SubsequenceSchedule,
                         _check_time_scale, abel_horizon,
                         abel_probability_floquet, abel_probability_time,
@@ -60,8 +59,6 @@ WEIGHT_TOL = 1e-10
 #: the smallest measured ratio a re-calibration freezes
 SCAN_KAPPA_GRID = 64
 CALIBRATION_SAFETY = 0.5
-#: longest paired orbit (two approximant periods) the Gordon diagnostic runs
-MAX_ORBIT = 1_000_000
 #: cocycle steps and phases of the theorem demo's growth-rate probe
 PROBE_STEPS = 2000
 PROBE_THETAS = 32
@@ -393,12 +390,14 @@ def _moments(case):
     free10, free20 = (finite_operator(PeriodicModel.from_potential([0.0]),
                                       truncation_radius(t, 1))
                       for t in (10.0, 20.0))
-    m10 = moments(free10, 10.0, orders=(2,)).moment(2)
-    m20 = moments(free20, 20.0, orders=(2,)).moment(2)
-    ratio = m20 / m10
-    err = abs(ratio / 4.0 - 1.0)
-    yield {"kind": "free_scaling", "ratio": ratio, "error": err,
-           **_under(err, 0.05)}
+    # the free chain's M_2(T) is 2 T^2 exactly
+    for op, t_scale in ((free10, 10.0), (free20, 20.0)):
+        m2 = moments(op, t_scale, orders=(2,)).moment(2)
+        ratio = m2 / (2.0 * t_scale ** 2)
+        err = abs(ratio - 1.0)
+        yield {"kind": "free_closed_form", "time_scale": t_scale,
+               "value": m2, "ratio": ratio, "error": err,
+               **_under(err, transport.TAIL_TOLERANCE)}
     audit = [("free", free20, 20.0), ("free", free10, 10.0)]
     for idx, model in enumerate(case.models):
         for t_scale in (5.0, 20.0):
@@ -819,86 +818,6 @@ def bandwidth_proposition_check(f, freq: Frequency, depths,
                 "theta_count": theta_count, "n_steps": "q_m (scale-matched)",
                 "trend": trend}
     return _make_report("bandwidth_proposition", rows, snapshot)
-
-
-# ---------------------------------------------------------------------------
-# Gordon diagnostic
-# ---------------------------------------------------------------------------
-
-def gordon_diagnostic(f, freq: Frequency, energy: float, depths,
-                      theta: float = 0.0, u=(1.0, 0.0)) -> VerificationReport:
-    """Per-depth near-periodicity differences and the four-block statistic.
-
-    For each depth the periodic block A over one period of the approximant
-    satisfies max(||A^2 u||, ||A u||, ||A^-1 u||, ||A^-2 u||) >= 1/2; the
-    quasiperiodic orbit's matching four values must then stay above
-    1/2 - difference, where difference is the worst applied-vector gap
-    between the two orbits over two periods (both directions).  One paired
-    orbit per direction yields all three: the gaps, the quasiperiodic
-    values and the periodic block values.  Overflow at a depth, a
-    convergent outside (0, 1), or an orbit longer than MAX_ORBIT,
-    truncates the report there.
-    """
-    depths = [int(m) for m in np.atleast_1d(depths)]
-    if not depths:
-        raise InputError("need at least one depth")
-    alpha = freq.float_value
-    u_arr = np.asarray(u, dtype=float)
-    if abs(float(np.linalg.norm(u_arr)) - 1.0) > 1e-8:
-        raise InputError(f"u must be a unit vector, got norm "
-                         f"{np.linalg.norm(u_arr)}")
-    rows = []
-    diffs = []
-    truncated_at = None
-    reason = ""
-    for m in depths:
-        am = freq.convergent(m)
-        qm = am.denominator
-        if 2 * qm > MAX_ORBIT:
-            truncated_at = m
-            reason = f"orbit length {2 * qm} exceeds max_orbit {MAX_ORBIT}"
-            break
-        # column 0 is the true orbit, column 1 the approximant's, whose
-        # values at n = q and 2q are A u and A^2 u for the period block A
-        # (A^-1 u and A^-2 u backward)
-        gaps, quasi_values, periodic_values = [], [], []
-        try:
-            for backward in (False, True):
-                orbit = _paired_orbit(f, alpha, am, theta, energy, 2 * qm,
-                                      u_arr, backward)
-                steps = []
-                for n, (x, y, _) in enumerate(orbit, 1):
-                    steps.append(math.hypot(x[0] - x[1], y[0] - y[1]))
-                    if n % qm == 0:
-                        quasi_values.append(math.hypot(x[0], y[0]))
-                        periodic_values.append(math.hypot(x[1], y[1]))
-                gaps.append(max(steps))
-        except (NumericalError, InputError) as exc:
-            truncated_at = m
-            reason = str(exc)
-            break
-        d_fwd, d_bwd = gaps
-        quasi, stat_p = max(quasi_values), max(periodic_values)
-        difference = max(d_fwd, d_bwd)
-        bound = 0.5 - difference
-        margin = quasi - bound
-        rows.append({"check": "four_block", "depth": m, "q": qm,
-                     "difference": difference, "difference_forward": d_fwd,
-                     "difference_backward": d_bwd,
-                     "statistic_quasi": quasi, "statistic_periodic": stat_p,
-                     "bound": bound, "margin": margin + 1e-9,
-                     "ok": margin >= -1e-9})
-        diffs.append(difference)
-    if len(diffs) < 2:
-        trend = "insufficient depths"
-    else:
-        trend = "decreasing" if all(diffs[i + 1] < diffs[i]
-                                    for i in range(len(diffs) - 1)) \
-            else "not decreasing"
-    snapshot = {"energy": energy, "theta": theta, "depths": depths,
-                "difference_trend": trend, "truncated_at_depth": truncated_at,
-                "truncation_reason": reason}
-    return _make_report("gordon_diagnostic", rows, snapshot)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion_09_resolvent_and_ballistic_envelopes():
                                                  "moments"))
     elapsed = time.perf_counter() - t0
     _report(9, f"off-spectrum resolvent decay, light-cone tails, and "
-               f"moment envelopes on {rep.instances} rows, "
+               f"moment closed forms and envelopes on {rep.instances} rows, "
                f"{rep.violations} violations",
             rep.instances >= 25 and rep.violations == 0, elapsed, None)
 

@@ -16,11 +16,10 @@ from qptransport.operator import (AmoSampling, Chain, PeriodicModel,
 from qptransport.floquet import band_structure
 from qptransport.transfer import (GOLDEN_MEAN, RENORM_CADENCE,
                                   LyapunovEstimate, TransferProduct,
-                                  cocycle, cocycle_orbit,
+                                  cocycle,
                                   gordon_block_statistic,
                                   lyapunov_exponent,
-                                  min_lyapunov_on_spectrum, transfer_difference,
-                                  transfer_product)
+                                  min_lyapunov_on_spectrum, transfer_product)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -38,49 +37,39 @@ def log_norm(tp):
     return tp.log_scale + math.log(np.linalg.norm(tp.matrix_scaled, 2))
 
 
-def backward_recurrence_solution(v, energy, psi1, psi0):
-    """psi(n-1) = (E - V(n)) psi(n) - psi(n+1), consuming v = V(n), V(n-1), ..."""
-    nxt, cur = psi1, psi0
-    for vn in v:
-        nxt, cur = cur, (energy - vn) * cur - nxt
-    return nxt, cur
-
-
 class TestCocycle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 200), st.integers(0, 2**32 - 1),
-           st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
-           st.booleans())
-    def test_matches_scalar_recurrence(self, length, seed, energies,
-                                       inverse):
+           st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
+    def test_matches_scalar_recurrence(self, length, seed, energies):
         # lengths past RENORM_CADENCE exercise the renormalization
         rng = np.random.default_rng(seed)
         v = rng.uniform(-3.0, 3.0, length)
         start = rng.uniform(-1.0, 1.0, 2)
         energies = np.array(energies)
         a = energies[None, :, None] - v[:, None, None]
-        *_, (x, y, log_scale) = cocycle_orbit(a, start[0], start[1], inverse)
+        x, y, log_scale = cocycle(a, start[0], start[1])
         assert x.shape == (len(energies), 1)
-        oracle = backward_recurrence_solution if inverse \
-            else recurrence_solution
         for k, e in enumerate(energies):
-            want = oracle(v, e, start[0], start[1])
+            want = recurrence_solution(v, e, start[0], start[1])
             got = np.ldexp([x[k, 0], y[k, 0]], log_scale[k])
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-10 * max(map(abs, want)))
 
     def test_orbit_yields_every_step_and_renormalizes_on_cadence(self):
+        # each prefix of the steps is its own cocycle call
         v = np.full(3 * RENORM_CADENCE, -1.0)
-        states = list(cocycle_orbit(2.0 - v, 1.0, 0.0))
-        assert len(states) == 3 * RENORM_CADENCE
-        assert states[0][0].shape == (1,)
+
+        def state(length):
+            return cocycle(2.0 - v[:length], 1.0, 0.0)
+
+        assert state(6)[0].shape == (1,)
         # the scale is an integer base-2 exponent
-        scales = [int(s) for _, _, s in states]
-        assert scales[RENORM_CADENCE - 2] == 0
-        assert scales[RENORM_CADENCE - 1] > 0
-        for n in (5, RENORM_CADENCE + 7, len(v) - 1):
-            x, y, s = states[n]
-            want = recurrence_solution(v[:n + 1], 2.0, 1.0, 0.0)
+        assert int(state(RENORM_CADENCE - 1)[2]) == 0
+        assert int(state(RENORM_CADENCE)[2]) > 0
+        for length in (6, RENORM_CADENCE + 8, 3 * RENORM_CADENCE):
+            x, y, s = state(length)
+            want = recurrence_solution(v[:length], 2.0, 1.0, 0.0)
             np.testing.assert_allclose(np.ldexp([x[0], y[0]], s), want,
                                        rtol=1e-12)
 
@@ -101,19 +90,6 @@ class TestCocycle:
         assert np.isfinite(x[0]) and np.isfinite(y[0])
         assert float(s) * math.log(2.0) + math.log(abs(x[0])) == \
             pytest.approx(40 * math.log(energy), rel=1e-12)
-
-    def test_unrenormalized_states_stay_unscaled(self):
-        v = np.full(RENORM_CADENCE + 3, 0.5)
-        *_, (x, y, s) = cocycle_orbit(3.0 - v, 1.0, 0.0, renormalize=False)
-        assert s == 0
-        assert (x[0], y[0]) == recurrence_solution(v, 3.0, 1.0, 0.0)
-
-    def test_unrenormalized_orbit_stops_at_overflow_guard(self):
-        # growth ((10 + sqrt 96) / 2)^n passes 1e250 at step 251
-        with pytest.raises(NumericalError, match="step 251"):
-            for _ in cocycle_orbit(np.full(600, 10.0), 1.0, 0.0,
-                                   renormalize=False):
-                pass
 
 
 class TestTransferProduct:
@@ -366,60 +342,3 @@ class TestGordonStatistic:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError):
             gordon_block_statistic(np.eye(3))
-
-
-class TestTransferDifference:
-    def test_exact_approximant_gives_zero(self):
-        d = transfer_difference(AmoSampling(0.5), Fraction(5, 8),
-                                Fraction(5, 8), 0.0, 0.3)
-        assert d == 0.0
-
-    def test_golden_vs_convergent_positive(self):
-        d = transfer_difference(AmoSampling(0.5), GOLDEN, Fraction(5, 8),
-                                0.0, 0.0)
-        assert 0.0 < d < 100.0
-
-    def test_default_range_is_two_periods(self):
-        f = AmoSampling(0.5)
-        d_default = transfer_difference(f, GOLDEN, Fraction(5, 8), 0.2, 0.1)
-        d_explicit = transfer_difference(f, GOLDEN, Fraction(5, 8), 0.2, 0.1,
-                                         n_max=16)
-        assert d_default == d_explicit
-
-    def test_better_approximant_smaller_difference(self):
-        # same inspection range: a deeper convergent tracks the true orbit
-        # more closely
-        f = AmoSampling(0.5)
-        coarse = transfer_difference(f, GOLDEN, Fraction(2, 3), 0.0, 0.0,
-                                     n_max=16)
-        fine = transfer_difference(f, GOLDEN, Fraction(5, 8), 0.0, 0.0,
-                                   n_max=16)
-        assert fine < coarse
-
-    def test_overflow_raises(self):
-        with pytest.raises(NumericalError):
-            transfer_difference(ZeroSampling(), GOLDEN, Fraction(5, 8),
-                                0.0, 10.0, n_max=600)
-
-    def test_backward_exact_approximant_gives_zero(self):
-        d = transfer_difference(AmoSampling(0.5), Fraction(5, 8),
-                                Fraction(5, 8), 0.0, 0.3, backward=True)
-        assert d == 0.0
-
-    def test_backward_matches_recurrence_oracle(self):
-        f = AmoSampling(0.5)
-        am = Fraction(5, 8)
-        sites = np.arange(-1, -17, -1)
-        v_true = f((0.2 + sites * GOLDEN) % 1.0)
-        v_appr = f((0.2 + sites * 5 / 8) % 1.0)
-        want = max(math.hypot(*np.subtract(
-            backward_recurrence_solution(v_true[:n], 0.1, 0.6, 0.8),
-            backward_recurrence_solution(v_appr[:n], 0.1, 0.6, 0.8)))
-                   for n in range(1, 17))
-        got = transfer_difference(f, GOLDEN, am, 0.2, 0.1, u=(0.6, 0.8),
-                                  backward=True)
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_requires_fraction_approximant(self):
-        with pytest.raises(InputError):
-            transfer_difference(ZeroSampling(), GOLDEN, 0.625, 0.0, 0.0)
